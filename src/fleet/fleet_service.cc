@@ -292,6 +292,17 @@ std::vector<FleetOutcome> FleetService::AdvanceTo(int64_t fleet_sec) {
   return AdvanceToLocked(fleet_sec);
 }
 
+void FleetService::Fold() {
+  std::lock_guard<std::mutex> lock(advance_mu_);
+  if (running_) FoldLocked();
+}
+
+void FleetService::FoldLocked() {
+  util::ParallelFor(advance_pool_.get(), instances_.size(), [&](size_t i) {
+    instances_[i].ingestor->Pump();
+  });
+}
+
 void FleetService::ProcessInstance(Instance* instance, int64_t fleet_sec,
                                    std::vector<SecondEvent>* events) {
   instance->ingestor->Pump();
@@ -412,6 +423,15 @@ online::DiagnosisOutcome FleetService::RunOne(const QueuedTrigger& entry) {
 
 std::vector<FleetOutcome> FleetService::AdvanceToLocked(int64_t fleet_sec) {
   std::vector<FleetOutcome> completed;
+
+  if (processed_fleet_any_ && fleet_sec <= last_fleet_sec_) {
+    // Not an advance: fold what producers staged so it is not judged late
+    // against a watermark that keeps moving, but step no detector — a
+    // lagging instance's seconds wait for the next advancing call, whose
+    // merge routes their triggers.
+    FoldLocked();
+    return completed;
+  }
 
   // Parallel per-instance step: pump, sample, detect — into disjoint
   // per-instance slots, so the merge below sees identical events at any

@@ -165,7 +165,23 @@ class FleetService {
 
   /// Advances the fleet watermark to `fleet_sec` and processes everything
   /// up to it. Returns the fleet outcomes completed by this call.
+  ///
+  /// A call that does not advance (`fleet_sec` at or below the last
+  /// processed fleet second) is Fold(): no detector steps and nothing
+  /// completes, so a lagging instance's seconds — and any trigger they
+  /// confirm — are processed and merged by the next advancing call.
+  /// Callers may therefore call it after every delivery round, which keeps
+  /// a slow producer's records from aging past late_grace_sec while they
+  /// sit staged.
   std::vector<FleetOutcome> AdvanceTo(int64_t fleet_sec);
+
+  /// Folds every instance's staged records into its windows and archive,
+  /// stepping no detector and completing nothing. A producer delivering a
+  /// backlog calls it before a sample would move an instance's watermark
+  /// more than late_grace_sec() past records that instance has staged:
+  /// the next fold would drop those as late.
+  void Fold();
+  int64_t late_grace_sec() const { return options_.ingestor.late_grace_sec; }
 
   /// Every fleet outcome so far, in completion order.
   const std::vector<FleetOutcome>& outcomes() const { return outcomes_; }
@@ -209,6 +225,7 @@ class FleetService {
   };
 
   std::vector<FleetOutcome> AdvanceToLocked(int64_t fleet_sec);
+  void FoldLocked();
   bool durable() const { return !options_.data_dir.empty(); }
   std::string InstanceDir(uint32_t instance_id) const;
   /// First Start() only: replays every instance's WAL through the normal

@@ -10,11 +10,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstring>
 #include <limits>
+#include <unordered_map>
 
 #include "obs/metrics.h"
+#include "serve/ingest_decoder.h"
 
 namespace pinsql::serve {
 namespace {
@@ -23,33 +24,6 @@ constexpr char kTenantHeader[] = "X-Pinsql-Tenant";
 
 int64_t RetryAfterSec(int64_t retry_after_ms) {
   return std::max<int64_t>(1, (retry_after_ms + 999) / 1000);
-}
-
-/// Reads an integral JSON number within [min, max] (doubles carry 53 exact
-/// integer bits — enough for every wire field we accept).
-bool GetIntField(const Json& obj, std::string_view key, int64_t min,
-                 int64_t max, int64_t* out) {
-  const Json* v = obj.Find(key);
-  if (v == nullptr || !v->is_number()) return false;
-  const double d = v->AsNumber();
-  if (!std::isfinite(d) || d != std::floor(d)) return false;
-  if (d < static_cast<double>(min) || d > static_cast<double>(max)) {
-    return false;
-  }
-  *out = static_cast<int64_t>(d);
-  return true;
-}
-
-bool GetFiniteField(const Json& obj, std::string_view key, double fallback,
-                    double* out) {
-  const Json* v = obj.Find(key);
-  if (v == nullptr) {
-    *out = fallback;
-    return true;
-  }
-  if (!v->is_number() || !std::isfinite(v->AsNumber())) return false;
-  *out = v->AsNumber();
-  return true;
 }
 
 }  // namespace
@@ -628,6 +602,11 @@ void Server::HandlerLoop() {
 
 void Server::PumpLoop() {
   int64_t advanced_to = std::numeric_limits<int64_t>::min();
+  // Oldest record second each instance has delivered since the last fold.
+  // A round can carry a sender's whole backlog; before a batch whose
+  // samples would move an instance's watermark more than the late grace
+  // past those records, fold them, or they would be dropped.
+  std::unordered_map<uint32_t, int64_t> unfolded_from;
 
   const auto deliver_round = [&]() -> bool {
     std::vector<StagedBatch> batches =
@@ -635,15 +614,36 @@ void Server::PumpLoop() {
     if (batches.empty()) return false;
     int64_t max_sec = std::numeric_limits<int64_t>::min();
     for (StagedBatch& batch : batches) {
+      if (auto it = unfolded_from.find(batch.instance_id);
+          it != unfolded_from.end()) {
+        for (const online::PerfSample& sample : batch.samples) {
+          if (sample.sec - it->second > fleet_->late_grace_sec()) {
+            fleet_->Fold();
+            unfolded_from.clear();
+            break;
+          }
+        }
+      }
+      for (const QueryLogRecord& record : batch.records) {
+        const int64_t sec = record.arrival_ms / 1000;
+        auto [it, fresh] = unfolded_from.try_emplace(batch.instance_id, sec);
+        if (!fresh) it->second = std::min(it->second, sec);
+      }
       max_sec = std::max(max_sec, DeliverBatch(std::move(batch)));
     }
+    // Advance after every round, not only when the fleet clock moves: a
+    // non-advancing call still folds the staged records of instances whose
+    // senders lag the fleet, before their own samples age them past the
+    // late grace.
     std::vector<fleet::FleetOutcome> outcomes;
-    if (max_sec != std::numeric_limits<int64_t>::min() &&
-        max_sec > advanced_to) {
+    if (max_sec > advanced_to) {
       advanced_to = max_sec;
-      outcomes = fleet_->AdvanceTo(max_sec);
       std::lock_guard<std::mutex> lock(stats_mu_);
       stats_.advanced_to_sec = max_sec;
+    }
+    if (advanced_to != std::numeric_limits<int64_t>::min()) {
+      outcomes = fleet_->AdvanceTo(advanced_to);
+      unfolded_from.clear();
     }
     RefreshCachesAfterAdvance(std::move(outcomes));
     return true;
@@ -760,91 +760,6 @@ HttpResponse Server::HandleRequest(const HttpRequest& request,
   return ErrorResponse(404, "unknown endpoint");
 }
 
-StatusOr<StagedBatch> Server::ParseIngestBody(const std::string& tenant,
-                                              const std::string& body) const {
-  auto parsed = Json::Parse(body);
-  if (!parsed.ok()) {
-    return Status::ParseError("invalid JSON: " + parsed.status().message());
-  }
-  const Json& root = parsed.value();
-  if (!root.is_object()) return Status::ParseError("body must be an object");
-
-  StagedBatch batch;
-  batch.tenant = tenant;
-  batch.wire_bytes = body.size();
-
-  int64_t instance = 0;
-  if (!GetIntField(root, "instance", 0,
-                   std::numeric_limits<uint32_t>::max(), &instance)) {
-    return Status::ParseError("missing or invalid 'instance'");
-  }
-  batch.instance_id = static_cast<uint32_t>(instance);
-
-  if (const Json* records = root.Find("records")) {
-    if (!records->is_array()) {
-      return Status::ParseError("'records' must be an array");
-    }
-    if (records->AsArray().size() > options_.max_records_per_batch) {
-      return Status::ParseError("too many records in one batch");
-    }
-    batch.records.reserve(records->AsArray().size());
-    for (const Json& item : records->AsArray()) {
-      if (!item.is_object()) {
-        return Status::ParseError("record must be an object");
-      }
-      QueryLogRecord record;
-      int64_t sql_id = 0;
-      // 2^53: the largest integer a JSON double carries exactly.
-      constexpr int64_t kMaxExact = int64_t{1} << 53;
-      constexpr int64_t kMaxMs = int64_t{4'000'000'000'000'000};
-      if (!GetIntField(item, "arrival_ms", -kMaxMs, kMaxMs,
-                       &record.arrival_ms) ||
-          !GetIntField(item, "sql_id", 0, kMaxExact, &sql_id) ||
-          !GetIntField(item, "examined_rows", 0, kMaxMs,
-                       &record.examined_rows)) {
-        return Status::ParseError("invalid record fields");
-      }
-      if (!GetFiniteField(item, "response_ms", 0.0, &record.response_ms) ||
-          record.response_ms < 0.0) {
-        return Status::ParseError("invalid record response_ms");
-      }
-      record.sql_id = static_cast<uint64_t>(sql_id);
-      batch.records.push_back(record);
-    }
-  }
-
-  if (const Json* samples = root.Find("samples")) {
-    if (!samples->is_array()) {
-      return Status::ParseError("'samples' must be an array");
-    }
-    if (samples->AsArray().size() > options_.max_samples_per_batch) {
-      return Status::ParseError("too many samples in one batch");
-    }
-    batch.samples.reserve(samples->AsArray().size());
-    for (const Json& item : samples->AsArray()) {
-      if (!item.is_object()) {
-        return Status::ParseError("sample must be an object");
-      }
-      online::PerfSample sample;
-      constexpr int64_t kMaxSec = int64_t{4'000'000'000'000};
-      if (!GetIntField(item, "sec", -kMaxSec, kMaxSec, &sample.sec)) {
-        return Status::ParseError("invalid sample sec");
-      }
-      if (!GetFiniteField(item, "active_session", 0.0,
-                          &sample.active_session) ||
-          !GetFiniteField(item, "cpu_usage", 0.0, &sample.cpu_usage) ||
-          !GetFiniteField(item, "iops_usage", 0.0, &sample.iops_usage) ||
-          !GetFiniteField(item, "row_lock_waits", 0.0,
-                          &sample.row_lock_waits) ||
-          !GetFiniteField(item, "mdl_waits", 0.0, &sample.mdl_waits)) {
-        return Status::ParseError("invalid sample metric");
-      }
-      batch.samples.push_back(sample);
-    }
-  }
-  return batch;
-}
-
 HttpResponse Server::HandleIngest(const HttpRequest& request,
                                   int64_t now_ms) {
   const std::string* tenant_header = request.FindHeader(kTenantHeader);
@@ -855,7 +770,9 @@ HttpResponse Server::HandleIngest(const HttpRequest& request,
   if (!admission_.KnownTenant(tenant)) {
     return ErrorResponse(403, "unknown tenant");
   }
-  auto batch = ParseIngestBody(tenant, request.body);
+  auto batch =
+      DecodeIngestBody(request.body, tenant, options_.max_records_per_batch,
+                       options_.max_samples_per_batch);
   if (!batch.ok()) {
     return ErrorResponse(400, batch.status().message());
   }

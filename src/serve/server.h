@@ -95,7 +95,7 @@ struct ServerStats {
 /// Architecture (see DESIGN.md §12): one poll()-based event loop owns every
 /// socket and serves GET endpoints inline from caches; POST /v1/ingest
 /// requests are pre-admitted at header time (byte quota + shed, before the
-/// body is read), parsed and admitted on a small handler pool, staged in
+/// body is read), decoded and admitted on a small handler pool, staged in
 /// the admission controller's per-tenant queues, and delivered into the
 /// fleet by a single pump thread via weighted-fair dequeue — so the order
 /// records enter the deterministic ingest boundary is a single serialized
@@ -200,8 +200,6 @@ class Server {
   HttpResponse HandleReports(const HttpRequest& request) const;
   HttpResponse HandleTriggers(const HttpRequest& request) const;
   HttpResponse HandleRepairs(const HttpRequest& request) const;
-  StatusOr<StagedBatch> ParseIngestBody(const std::string& tenant,
-                                        const std::string& body) const;
 
   fleet::FleetService* fleet_;
   ServerOptions options_;

@@ -1,6 +1,7 @@
 #include "util/json.h"
 
 #include <cassert>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -226,255 +227,343 @@ std::string Json::Dump(bool pretty) const {
   return out;
 }
 
-namespace {
+bool JsonLexer::Fail(const char* what) {
+  status_ = Status::ParseError(StrFormat("%s at offset %zu", what, pos_));
+  return false;
+}
 
-/// Recursive-descent JSON parser with position-annotated errors.
-class Parser {
- public:
-  explicit Parser(std::string_view text) : text_(text) {}
-
-  StatusOr<Json> ParseDocument() {
-    StatusOr<Json> value = ParseValue();
-    if (!value.ok()) return value;
-    SkipWhitespace();
-    if (pos_ != text_.size()) {
-      return Error("trailing characters after JSON document");
-    }
-    return value;
+void JsonLexer::SkipWhitespace() {
+  while (pos_ < text_.size()) {
+    const char c = text_[pos_];
+    if (c != ' ' && c != '\t' && c != '\n' && c != '\r') break;
+    ++pos_;
   }
+}
 
- private:
-  Status Error(const std::string& what) {
-    return Status::ParseError(
-        StrFormat("%s at offset %zu", what.c_str(), pos_));
-  }
+bool JsonLexer::ConsumeLiteral(std::string_view literal) {
+  if (text_.substr(pos_, literal.size()) != literal) return false;
+  pos_ += literal.size();
+  return true;
+}
 
-  void SkipWhitespace() {
-    while (pos_ < text_.size()) {
-      char c = text_[pos_];
-      if (c == ' ' || c == '\t' || c == '\n' || c == '\r') {
-        ++pos_;
-      } else {
-        break;
-      }
-    }
-  }
-
-  bool ConsumeLiteral(std::string_view lit) {
-    if (text_.substr(pos_, lit.size()) == lit) {
-      pos_ += lit.size();
+bool JsonLexer::NextValue(Token* token) {
+  // Every value counts against the depth bound, scalars included, and the
+  // check precedes the whitespace skip (it fixes the error offset).
+  if (++depth_ > kMaxDepth) return Fail("nesting too deep");
+  SkipWhitespace();
+  if (pos_ >= text_.size()) return Fail("unexpected end of input");
+  const char c = text_[pos_];
+  switch (c) {
+    case 'n':
+      if (!ConsumeLiteral("null")) return Fail("invalid literal");
+      *token = Token::kNull;
+      break;
+    case 't':
+      if (!ConsumeLiteral("true")) return Fail("invalid literal");
+      *token = Token::kTrue;
+      break;
+    case 'f':
+      if (!ConsumeLiteral("false")) return Fail("invalid literal");
+      *token = Token::kFalse;
+      break;
+    case '"':
+      if (!ScanString()) return false;
+      *token = Token::kString;
+      break;
+    case '[':
+      ++pos_;
+      *token = Token::kArray;
+      return true;  // the depth is released by the closing ']'
+    case '{':
+      ++pos_;
+      *token = Token::kObject;
       return true;
-    }
-    return false;
-  }
-
-  StatusOr<Json> ParseValue() {
-    if (++depth_ > kMaxDepth) return Error("nesting too deep");
-    struct DepthGuard {
-      int* d;
-      ~DepthGuard() { --*d; }
-    } guard{&depth_};
-
-    SkipWhitespace();
-    if (pos_ >= text_.size()) return Error("unexpected end of input");
-    char c = text_[pos_];
-    switch (c) {
-      case 'n':
-        if (ConsumeLiteral("null")) return Json();
-        return Error("invalid literal");
-      case 't':
-        if (ConsumeLiteral("true")) return Json(true);
-        return Error("invalid literal");
-      case 'f':
-        if (ConsumeLiteral("false")) return Json(false);
-        return Error("invalid literal");
-      case '"':
-        return ParseString();
-      case '[':
-        return ParseArray();
-      case '{':
-        return ParseObject();
-      default:
-        if (c == '-' || (c >= '0' && c <= '9')) return ParseNumber();
-        return Error("unexpected character");
-    }
-  }
-
-  StatusOr<Json> ParseString() {
-    std::string out;
-    ++pos_;  // opening quote
-    while (true) {
-      if (pos_ >= text_.size()) return Error("unterminated string");
-      char c = text_[pos_++];
-      if (c == '"') return Json(std::move(out));
-      if (c == '\\') {
-        if (pos_ >= text_.size()) return Error("unterminated escape");
-        char esc = text_[pos_++];
-        switch (esc) {
-          case '"':
-            out.push_back('"');
-            break;
-          case '\\':
-            out.push_back('\\');
-            break;
-          case '/':
-            out.push_back('/');
-            break;
-          case 'n':
-            out.push_back('\n');
-            break;
-          case 't':
-            out.push_back('\t');
-            break;
-          case 'r':
-            out.push_back('\r');
-            break;
-          case 'b':
-            out.push_back('\b');
-            break;
-          case 'f':
-            out.push_back('\f');
-            break;
-          case 'u': {
-            if (pos_ + 4 > text_.size()) return Error("bad \\u escape");
-            unsigned code = 0;
-            for (int i = 0; i < 4; ++i) {
-              char h = text_[pos_++];
-              code <<= 4;
-              if (h >= '0' && h <= '9') {
-                code |= static_cast<unsigned>(h - '0');
-              } else if (h >= 'a' && h <= 'f') {
-                code |= static_cast<unsigned>(h - 'a' + 10);
-              } else if (h >= 'A' && h <= 'F') {
-                code |= static_cast<unsigned>(h - 'A' + 10);
-              } else {
-                return Error("bad \\u escape digit");
-              }
-            }
-            // UTF-8 encode the BMP code point (surrogate pairs are passed
-            // through as two separate 3-byte sequences, which is sufficient
-            // for config files; SQL text is ASCII in this system).
-            if (code < 0x80) {
-              out.push_back(static_cast<char>(code));
-            } else if (code < 0x800) {
-              out.push_back(static_cast<char>(0xC0 | (code >> 6)));
-              out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-            } else {
-              out.push_back(static_cast<char>(0xE0 | (code >> 12)));
-              out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-              out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-            }
-            break;
-          }
-          default:
-            return Error("unknown escape");
-        }
-      } else if (static_cast<unsigned char>(c) < 0x20) {
-        return Error("unescaped control character in string");
-      } else {
-        out.push_back(c);
+    default:
+      if (c != '-' && (c < '0' || c > '9')) {
+        return Fail("unexpected character");
       }
-    }
+      if (!ScanNumber()) return false;
+      *token = Token::kNumber;
   }
+  --depth_;
+  return true;
+}
 
-  StatusOr<Json> ParseNumber() {
-    size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    bool digits = false;
-    while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
-      ++pos_;
-      digits = true;
-    }
-    if (!digits) return Error("invalid number");
-    if (pos_ < text_.size() && text_[pos_] == '.') {
-      ++pos_;
-      bool frac = false;
-      while (pos_ < text_.size() && text_[pos_] >= '0' &&
-             text_[pos_] <= '9') {
-        ++pos_;
-        frac = true;
-      }
-      if (!frac) return Error("invalid number fraction");
-    }
-    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) {
-        ++pos_;
-      }
-      bool exp = false;
-      while (pos_ < text_.size() && text_[pos_] >= '0' &&
-             text_[pos_] <= '9') {
-        ++pos_;
-        exp = true;
-      }
-      if (!exp) return Error("invalid number exponent");
-    }
-    const std::string token(text_.substr(start, pos_ - start));
-    return Json(std::strtod(token.c_str(), nullptr));
+bool JsonLexer::CloseContainer(char close, const char* unterminated,
+                               const char* expected, bool* more) {
+  SkipWhitespace();
+  if (pos_ >= text_.size()) return Fail(unterminated);
+  const char c = text_[pos_++];
+  if (c == close) {
+    --depth_;
+    *more = false;
+    return true;
   }
+  if (c != ',') return Fail(expected);
+  *more = true;
+  return true;
+}
 
-  StatusOr<Json> ParseArray() {
-    ++pos_;  // '['
-    Json out = Json::MakeArray();
-    SkipWhitespace();
-    if (pos_ < text_.size() && text_[pos_] == ']') {
-      ++pos_;
-      return out;
-    }
-    while (true) {
-      StatusOr<Json> v = ParseValue();
-      if (!v.ok()) return v;
-      out.Append(std::move(v).value());
-      SkipWhitespace();
-      if (pos_ >= text_.size()) return Error("unterminated array");
-      char c = text_[pos_++];
-      if (c == ']') return out;
-      if (c != ',') return Error("expected ',' or ']' in array");
-    }
+bool JsonLexer::NextElement(bool first, bool* more) {
+  if (!first) {
+    return CloseContainer(']', "unterminated array",
+                          "expected ',' or ']' in array", more);
   }
+  SkipWhitespace();
+  *more = pos_ >= text_.size() || text_[pos_] != ']';
+  if (!*more) {
+    ++pos_;
+    --depth_;
+  }
+  return true;
+}
 
-  StatusOr<Json> ParseObject() {
-    ++pos_;  // '{'
-    Json out = Json::MakeObject();
+bool JsonLexer::NextMember(bool first, bool* more) {
+  if (first) {
     SkipWhitespace();
     if (pos_ < text_.size() && text_[pos_] == '}') {
       ++pos_;
-      return out;
+      --depth_;
+      *more = false;
+      return true;
     }
-    while (true) {
-      SkipWhitespace();
-      if (pos_ >= text_.size() || text_[pos_] != '"') {
-        return Error("expected object key string");
+  } else if (!CloseContainer('}', "unterminated object",
+                             "expected ',' or '}' in object", more)) {
+    return false;
+  } else if (!*more) {
+    return true;
+  }
+  SkipWhitespace();
+  if (pos_ >= text_.size() || text_[pos_] != '"') {
+    return Fail("expected object key string");
+  }
+  if (!ScanString()) return false;
+  SkipWhitespace();
+  if (pos_ >= text_.size() || text_[pos_] != ':') {
+    return Fail("expected ':' after object key");
+  }
+  ++pos_;
+  *more = true;
+  return true;
+}
+
+bool JsonLexer::Skip(Token token) {
+  bool more = false;
+  switch (token) {
+    case Token::kArray:
+      if (!NextElement(true, &more)) return false;
+      while (more) {
+        if (!SkipValue() || !NextElement(false, &more)) return false;
       }
-      StatusOr<Json> key = ParseString();
-      if (!key.ok()) return key;
-      SkipWhitespace();
-      if (pos_ >= text_.size() || text_[pos_] != ':') {
-        return Error("expected ':' after object key");
+      return true;
+    case Token::kObject:
+      if (!NextMember(true, &more)) return false;
+      while (more) {
+        if (!SkipValue() || !NextMember(false, &more)) return false;
       }
+      return true;
+    case Token::kNull:
+    case Token::kTrue:
+    case Token::kFalse:
+    case Token::kNumber:
+    case Token::kString:
+      return true;
+  }
+  return true;
+}
+
+bool JsonLexer::SkipValue() {
+  Token token = Token::kNull;
+  return NextValue(&token) && Skip(token);
+}
+
+bool JsonLexer::Finish() {
+  SkipWhitespace();
+  if (pos_ != text_.size()) {
+    return Fail("trailing characters after JSON document");
+  }
+  return true;
+}
+
+bool JsonLexer::ScanString() {
+  // Fast path: no escapes and no control bytes -> a view into the text.
+  const size_t start = ++pos_;  // opening quote
+  while (pos_ < text_.size()) {
+    const unsigned char c = static_cast<unsigned char>(text_[pos_]);
+    if (c == '"') {
+      string_ = text_.substr(start, pos_ - start);
       ++pos_;
-      StatusOr<Json> value = ParseValue();
-      if (!value.ok()) return value;
-      out.Set(key->AsString(), std::move(value).value());
-      SkipWhitespace();
-      if (pos_ >= text_.size()) return Error("unterminated object");
-      char c = text_[pos_++];
-      if (c == '}') return out;
-      if (c != ',') return Error("expected ',' or '}' in object");
+      return true;
+    }
+    if (c == '\\' || c < 0x20) break;
+    ++pos_;
+  }
+  scratch_.assign(text_.data() + start, pos_ - start);
+  while (true) {
+    if (pos_ >= text_.size()) return Fail("unterminated string");
+    const char c = text_[pos_++];
+    if (c == '"') {
+      string_ = scratch_;
+      return true;
+    }
+    if (static_cast<unsigned char>(c) < 0x20) {
+      return Fail("unescaped control character in string");
+    }
+    if (c != '\\') {
+      scratch_.push_back(c);
+      continue;
+    }
+    if (pos_ >= text_.size()) return Fail("unterminated escape");
+    const char esc = text_[pos_++];
+    switch (esc) {
+      case '"':
+      case '\\':
+      case '/':
+        scratch_.push_back(esc);
+        break;
+      case 'n':
+        scratch_.push_back('\n');
+        break;
+      case 't':
+        scratch_.push_back('\t');
+        break;
+      case 'r':
+        scratch_.push_back('\r');
+        break;
+      case 'b':
+        scratch_.push_back('\b');
+        break;
+      case 'f':
+        scratch_.push_back('\f');
+        break;
+      case 'u': {
+        if (pos_ + 4 > text_.size()) return Fail("bad \\u escape");
+        unsigned code = 0;
+        for (int i = 0; i < 4; ++i) {
+          const char h = text_[pos_++];
+          code <<= 4;
+          if (h >= '0' && h <= '9') {
+            code |= static_cast<unsigned>(h - '0');
+          } else if (h >= 'a' && h <= 'f') {
+            code |= static_cast<unsigned>(h - 'a' + 10);
+          } else if (h >= 'A' && h <= 'F') {
+            code |= static_cast<unsigned>(h - 'A' + 10);
+          } else {
+            return Fail("bad \\u escape digit");
+          }
+        }
+        // UTF-8 encode the BMP code point (surrogate pairs are passed
+        // through as two separate 3-byte sequences, which is sufficient
+        // for config files; SQL text is ASCII in this system).
+        if (code < 0x80) {
+          scratch_.push_back(static_cast<char>(code));
+        } else if (code < 0x800) {
+          scratch_.push_back(static_cast<char>(0xC0 | (code >> 6)));
+          scratch_.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+        } else {
+          scratch_.push_back(static_cast<char>(0xE0 | (code >> 12)));
+          scratch_.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
+          scratch_.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+        }
+        break;
+      }
+      default:
+        return Fail("unknown escape");
     }
   }
+}
 
-  static constexpr int kMaxDepth = 256;
+bool JsonLexer::ScanNumber() {
+  const size_t start = pos_;
+  const auto digits = [this] {
+    const size_t from = pos_;
+    while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
+      ++pos_;
+    }
+    return pos_ > from;
+  };
+  if (text_[pos_] == '-') ++pos_;
+  if (!digits()) return Fail("invalid number");
+  if (pos_ < text_.size() && text_[pos_] == '.') {
+    ++pos_;
+    if (!digits()) return Fail("invalid number fraction");
+  }
+  if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
+    ++pos_;
+    if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) {
+      ++pos_;
+    }
+    if (!digits()) return Fail("invalid number exponent");
+  }
+  const char* first = text_.data() + start;
+  const char* last = text_.data() + pos_;
+  // from_chars rounds exactly as strtod does; out of range it leaves the
+  // value unset, and strtod supplies the signed infinity or zero.
+  if (std::from_chars(first, last, number_).ec != std::errc()) {
+    number_ = std::strtod(std::string(first, last).c_str(), nullptr);
+  }
+  return true;
+}
 
-  std::string_view text_;
-  size_t pos_ = 0;
-  int depth_ = 0;
-};
+namespace {
+
+bool BuildValue(JsonLexer* lex, JsonLexer::Token token, Json* out);
+
+bool ParseValue(JsonLexer* lex, Json* out) {
+  JsonLexer::Token token = JsonLexer::Token::kNull;
+  return lex->NextValue(&token) && BuildValue(lex, token, out);
+}
+
+bool BuildValue(JsonLexer* lex, JsonLexer::Token token, Json* out) {
+  bool more = false;
+  switch (token) {
+    case JsonLexer::Token::kNull:
+      *out = Json();
+      return true;
+    case JsonLexer::Token::kTrue:
+      *out = Json(true);
+      return true;
+    case JsonLexer::Token::kFalse:
+      *out = Json(false);
+      return true;
+    case JsonLexer::Token::kNumber:
+      *out = Json(lex->number());
+      return true;
+    case JsonLexer::Token::kString:
+      *out = Json(std::string(lex->string()));
+      return true;
+    case JsonLexer::Token::kArray:
+      *out = Json::MakeArray();
+      if (!lex->NextElement(true, &more)) return false;
+      while (more) {
+        if (!ParseValue(lex, &out->AsArray().emplace_back()) ||
+            !lex->NextElement(false, &more)) {
+          return false;
+        }
+      }
+      return true;
+    case JsonLexer::Token::kObject:
+      *out = Json::MakeObject();
+      if (!lex->NextMember(true, &more)) return false;
+      while (more) {
+        // Last wins on duplicate keys.
+        Json& slot = out->AsObject()[std::string(lex->string())];
+        if (!ParseValue(lex, &slot) || !lex->NextMember(false, &more)) {
+          return false;
+        }
+      }
+      return true;
+  }
+  return false;
+}
 
 }  // namespace
 
 StatusOr<Json> Json::Parse(std::string_view text) {
-  return Parser(text).ParseDocument();
+  JsonLexer lex(text);
+  Json root;
+  if (!ParseValue(&lex, &root) || !lex.Finish()) return lex.status();
+  return root;
 }
 
 }  // namespace pinsql

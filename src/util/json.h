@@ -75,6 +75,7 @@ class Json {
   std::string Dump(bool pretty = false) const;
 
   /// Parses a complete JSON document; trailing non-space input is an error.
+  /// Built on JsonLexer, so its errors are the lexer's.
   static StatusOr<Json> Parse(std::string_view text);
 
   bool operator==(const Json& other) const;
@@ -88,6 +89,70 @@ class Json {
   std::string string_;
   Array array_;
   Object object_;
+};
+
+/// Pull lexer over one JSON text: the single JSON grammar in the tree.
+/// Json::Parse builds a DOM from its tokens; the /v1/ingest decoder
+/// (serve/ingest_decoder.h) writes batch fields straight from them, so the
+/// two accept the same texts and fail with the same errors.
+///
+/// Grammar details both consumers share: numbers are parsed with
+/// std::from_chars, falling back to strtod when out of range (so 1e999 is
+/// +inf and underflow keeps its sign); leading zeros are accepted; \u
+/// escapes are UTF-8 encoded per code unit; nesting deeper than 256 values
+/// fails. Errors are ParseError "<what> at offset N".
+///
+/// Usage: NextValue() reads a value's first token. Scalars are consumed
+/// whole (number() / string() hold them). For kArray / kObject the opening
+/// bracket is consumed and the caller walks the container with
+/// NextElement() / NextMember() until *more is false, calling NextValue()
+/// (or SkipValue()) once per element or member value. Every call returns
+/// false on a syntax error, after which status() holds the error and the
+/// lexer must not be used further.
+class JsonLexer {
+ public:
+  enum class Token { kNull, kTrue, kFalse, kNumber, kString, kArray, kObject };
+
+  explicit JsonLexer(std::string_view text) : text_(text) {}
+
+  bool NextValue(Token* token);
+  /// Inside an array; `first` right after its '['. On *more an element
+  /// follows; otherwise the closing ']' was consumed.
+  bool NextElement(bool first, bool* more);
+  /// Inside an object; `first` right after its '{'. On *more the member's
+  /// key is in string() and its ':' was consumed; otherwise the closing
+  /// '}' was consumed.
+  bool NextMember(bool first, bool* more);
+  /// Consumes the rest of a value whose first token was `token`.
+  bool Skip(Token token);
+  /// Consumes one whole value.
+  bool SkipValue();
+  /// After the root value: only whitespace may follow.
+  bool Finish();
+
+  double number() const { return number_; }
+  /// The last string or key, unescaped; valid until the next call.
+  std::string_view string() const { return string_; }
+  const Status& status() const { return status_; }
+
+ private:
+  bool Fail(const char* what);
+  void SkipWhitespace();
+  bool ConsumeLiteral(std::string_view literal);
+  bool ScanString();
+  bool ScanNumber();
+  bool CloseContainer(char close, const char* unterminated,
+                      const char* expected, bool* more);
+
+  static constexpr int kMaxDepth = 256;
+
+  std::string_view text_;
+  size_t pos_ = 0;
+  int depth_ = 0;
+  double number_ = 0.0;
+  std::string_view string_;
+  std::string scratch_;  // unescaped strings
+  Status status_;
 };
 
 }  // namespace pinsql

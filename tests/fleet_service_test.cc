@@ -279,6 +279,82 @@ TEST(FleetServiceTest, GracefulDrainRunsInFlightDiagnoses) {
   EXPECT_EQ(service.outcomes().size(), 2u);
 }
 
+/// One second of a two-instance stream: instance 2 steps into an incident
+/// at second 100, instance 1 stays calm.
+void FeedSecond(FleetService* service, uint32_t instance_id, int64_t sec) {
+  const bool incident = instance_id == 2 && sec >= 100;
+  for (int64_t k = 0; k < (incident ? 20 : 2); ++k) {
+    QueryLogRecord record;
+    record.arrival_ms = sec * 1000 + k;
+    record.sql_id = 1001;
+    record.response_ms = incident ? 90.0 : 4.0;
+    record.examined_rows = incident ? 30000 : 40;
+    service->IngestRecord(instance_id, record);
+  }
+  online::PerfSample sample;
+  sample.sec = sec;
+  sample.active_session = incident ? 45.0 : 5.0;
+  sample.cpu_usage = 20.0;
+  service->IngestMetrics(instance_id, sample);
+}
+
+/// Runs the two-instance stream. With `lagging`, instance 2 stalls after
+/// second 59 while instance 1 advances the fleet to second 179; then its
+/// seconds 60-179 arrive in chunks, each followed by a repeated,
+/// non-advancing AdvanceTo(179).
+FleetResult RunLaggingPair(bool lagging) {
+  FleetOptions options;
+  options.scheduler.diagnose_delay_sec = 30;
+  options.scheduler.cooldown_sec = 300;
+  options.scheduler.zero_timings = true;  // wall times stay out of reports
+  FleetService service({{1, 0}, {2, 1}}, options);
+  TemplateCatalogEntry entry;
+  entry.template_text = "SELECT c FROM t0 WHERE k = ?";
+  entry.kind = sqltpl::StatementKind::kSelect;
+  entry.tables = {"t0"};
+  service.RegisterTemplateFleetWide(1001, entry);
+  service.Start();
+  constexpr int64_t kStall = 60, kCatchUp = 180;
+  for (int64_t sec = 0; sec < 240; ++sec) {
+    if (lagging && sec == kCatchUp) {
+      for (int64_t chunk = kStall; chunk < kCatchUp; chunk += 20) {
+        for (int64_t s = chunk; s < chunk + 20; ++s) FeedSecond(&service, 2, s);
+        service.AdvanceTo(kCatchUp - 1);
+      }
+    }
+    FeedSecond(&service, 1, sec);
+    if (!lagging || sec < kStall || sec >= kCatchUp) {
+      FeedSecond(&service, 2, sec);
+    }
+    service.AdvanceTo(sec);
+  }
+  service.Stop();
+  FleetResult result;
+  result.outcomes = service.outcomes();
+  result.storms = service.storms();
+  result.neighbors = service.neighbor_verdicts();
+  for (uint32_t id : {1u, 2u}) {
+    result.latencies[id] = service.detection_latencies(id);
+  }
+  result.stats = service.stats();
+  return result;
+}
+
+TEST(FleetServiceTest, RepeatedAdvanceKeepsALaggingInstancesTrigger) {
+  const FleetResult monotone = RunLaggingPair(/*lagging=*/false);
+  ASSERT_EQ(monotone.stats.triggers_accepted, 1u);
+  ASSERT_EQ(monotone.outcomes.size(), 1u);
+  EXPECT_EQ(monotone.outcomes[0].outcome.trigger.instance_id, 2u);
+
+  // Instance 2's incident seconds arrive while the fleet clock stands at
+  // 179. The repeated AdvanceTo(179) calls only fold; the next advance
+  // steps its detector and merges the trigger.
+  const FleetResult lagging = RunLaggingPair(/*lagging=*/true);
+  EXPECT_EQ(lagging.stats.triggers_accepted, 1u);
+  EXPECT_EQ(lagging.stats.ingest.records_dropped_late, 0u);
+  EXPECT_EQ(lagging.Fingerprint(), monotone.Fingerprint());
+}
+
 /// Env whose file opens always fail: every instance's journal writer fails
 /// to open and the fleet degrades to in-memory operation.
 class OpenFailEnv : public store::Env {

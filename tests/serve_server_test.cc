@@ -15,6 +15,7 @@
 #include "online/replay.h"
 #include "serve/server.h"
 #include "util/json.h"
+#include "util/strings.h"
 
 namespace pinsql::serve {
 namespace {
@@ -181,16 +182,22 @@ LogStore CatalogStore() {
   return catalog;
 }
 
+/// `hex_ids` sends every sql_id in the hex-string form /v1/reports emits.
 std::string BatchBody(uint32_t instance,
                       const std::vector<QueryLogRecord>& records,
-                      const std::vector<online::PerfSample>& samples) {
+                      const std::vector<online::PerfSample>& samples,
+                      bool hex_ids = false) {
   Json root = Json::MakeObject();
   root.Set("instance", static_cast<int64_t>(instance));
   Json recs = Json::MakeArray();
   for (const auto& r : records) {
     Json item = Json::MakeObject();
     item.Set("arrival_ms", r.arrival_ms);
-    item.Set("sql_id", static_cast<int64_t>(r.sql_id));
+    if (hex_ids) {
+      item.Set("sql_id", HashToHex(r.sql_id));
+    } else {
+      item.Set("sql_id", static_cast<int64_t>(r.sql_id));
+    }
     item.Set("response_ms", r.response_ms);
     item.Set("examined_rows", r.examined_rows);
     recs.Append(std::move(item));
@@ -244,6 +251,34 @@ Stack MakeStack(ServerOptions soptions = {},
   }
   stack.server = std::make_unique<Server>(stack.fleet.get(), soptions);
   return stack;
+}
+
+/// A tenant "acme" request for HandleRequest (no socket).
+HttpRequest AcmeRequest(std::string method, std::string target,
+                        std::string body = "") {
+  HttpRequest r;
+  r.method = std::move(method);
+  r.target = std::move(target);
+  r.version = "HTTP/1.1";
+  r.headers.emplace_back("X-Pinsql-Tenant", "acme");
+  r.content_length = body.size();
+  r.body = std::move(body);
+  return r;
+}
+
+/// Stages one ingest body through the handler path and waits until the
+/// pump delivered it, so each delivery round carries exactly one batch.
+/// `sent` counts the batches staged so far.
+void IngestOneRound(Server* server, std::string body, uint64_t* sent) {
+  const HttpResponse response = server->HandleRequest(
+      AcmeRequest("POST", "/v1/ingest", std::move(body)), Server::NowMs());
+  ASSERT_EQ(response.status, 202) << response.body;
+  ++*sent;
+  for (int attempt = 0; attempt < 5000; ++attempt) {
+    if (server->stats().batches_delivered == *sent) return;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  FAIL() << "batch " << *sent << " was not delivered";
 }
 
 // --- Tests ---------------------------------------------------------------
@@ -553,6 +588,58 @@ TEST(ServeServerTest, EndToEndIncidentDiagnosisAndReplayFingerprint) {
   EXPECT_FALSE(fp1.empty());
 }
 
+TEST(ServeServerTest, SixtyFourBitSqlIdRoundTripsThroughReports) {
+  // Fingerprint ids use all 64 bits, past what a JSON number carries
+  // exactly; the wire takes them in the hex form /v1/reports emits.
+  constexpr uint64_t kHeavy = 0xC0FFEE0123456789ULL;  // > 2^53
+  Stack stack = MakeStack();
+  TemplateCatalogEntry heavy;
+  heavy.template_text = "SELECT * FROM big ORDER BY v";
+  heavy.kind = sqltpl::StatementKind::kSelect;
+  heavy.tables = {"big"};
+  stack.fleet->RegisterTemplateFleetWide(kHeavy, heavy);
+  ASSERT_TRUE(stack.server->Start().ok());
+
+  const online::ReplayLog incident = SyntheticIncident();
+  size_t cursor = 0;
+  uint64_t sent = 0;
+  for (const online::PerfSample& sample : incident.samples) {
+    std::vector<QueryLogRecord> second_records;
+    while (cursor < incident.records.size() &&
+           incident.records[cursor].arrival_ms < (sample.sec + 1) * 1000) {
+      QueryLogRecord r = incident.records[cursor++];
+      if (r.sql_id == 9) r.sql_id = kHeavy;
+      second_records.push_back(r);
+    }
+    IngestOneRound(stack.server.get(),
+                   BatchBody(1, second_records, {sample}, /*hex_ids=*/true),
+                   &sent);
+  }
+
+  const Json* rsqls = nullptr;
+  Json parsed;
+  for (int attempt = 0; attempt < 500 && rsqls == nullptr; ++attempt) {
+    const HttpResponse response = stack.server->HandleRequest(
+        AcmeRequest("GET", "/v1/reports?limit=10"), Server::NowMs());
+    ASSERT_EQ(response.status, 200);
+    parsed = Json::Parse(response.body).value();
+    const Json* reports = parsed.Find("reports");
+    ASSERT_NE(reports, nullptr);
+    if (!reports->AsArray().empty()) {
+      const Json* report = reports->AsArray().front().Find("report");
+      ASSERT_NE(report, nullptr);
+      rsqls = report->Find("rsqls");
+      ASSERT_NE(rsqls, nullptr);
+    } else {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+  }
+  ASSERT_NE(rsqls, nullptr) << "no diagnosis surfaced via /v1/reports";
+  ASSERT_FALSE(rsqls->AsArray().empty());
+  EXPECT_EQ(rsqls->AsArray().front().GetStringOr("sql_id", ""),
+            HashToHex(kHeavy));
+}
+
 TEST(ServeServerTest, StopDrainsAcceptedBatchesIntoTheFleet) {
   ServerOptions soptions;
   soptions.advance_interval_ms = 1000;  // pump likely idle until Stop
@@ -582,6 +669,68 @@ TEST(ServeServerTest, StopDrainsAcceptedBatchesIntoTheFleet) {
 
   // A second Stop is a no-op.
   stack.server->Stop();
+}
+
+TEST(ServeServerTest, LaggingInstanceRecordsAreFoldedNotDroppedLate) {
+  // Instance 1's sender runs 300 s of sample time ahead; instance 2's
+  // batches then arrive in order, one delivery round each, while the fleet
+  // clock stands at instance 1's last second. Every round must fold the
+  // staged records before instance 2's own samples age them past the
+  // 120 s late grace.
+  Stack stack = MakeStack({}, {{1, 0}, {2, 0}});
+  ASSERT_TRUE(stack.server->Start().ok());
+  constexpr int64_t kSeconds = 300;
+  constexpr int kRecordsPerSec = 5;
+  uint64_t sent = 0;
+  const auto send_and_wait = [&](uint32_t instance, int64_t sec) {
+    std::vector<QueryLogRecord> records(kRecordsPerSec);
+    for (int k = 0; k < kRecordsPerSec; ++k) {
+      records[k].arrival_ms = sec * 1000 + k * 100;
+      records[k].sql_id = 1 + k % 4;
+      records[k].response_ms = 2.0;
+      records[k].examined_rows = 20;
+    }
+    IngestOneRound(stack.server.get(),
+                   BatchBody(instance, records, {Sample(sec, 4.0)}), &sent);
+  };
+  for (int64_t sec = 0; sec < kSeconds; ++sec) send_and_wait(1, sec);
+  for (int64_t sec = 0; sec < kSeconds; ++sec) send_and_wait(2, sec);
+
+  stack.server->Stop();
+  stack.fleet->Stop();
+  const fleet::FleetStats stats = stack.fleet->stats();
+  EXPECT_EQ(stats.ingest.records_dropped_late, 0u);
+  EXPECT_EQ(stats.ingest.records_folded, 2 * kSeconds * kRecordsPerSec);
+}
+
+TEST(ServeServerTest, BacklogLongerThanTheLateGraceIsFoldedNotDropped) {
+  // 320 one-second batches of one instance are staged before the pump
+  // starts, so its first round carries 256 s of that instance's sample
+  // time: the pump must fold before a sample ages the staged records past
+  // the 120 s late grace.
+  Stack stack = MakeStack();
+  const online::ReplayLog incident = SyntheticIncident();
+  size_t cursor = 0;
+  for (const online::PerfSample& sample : incident.samples) {
+    std::vector<QueryLogRecord> second_records;
+    while (cursor < incident.records.size() &&
+           incident.records[cursor].arrival_ms < (sample.sec + 1) * 1000) {
+      second_records.push_back(incident.records[cursor++]);
+    }
+    ASSERT_EQ(stack.server
+                  ->HandleRequest(AcmeRequest("POST", "/v1/ingest",
+                                              BatchBody(1, second_records,
+                                                        {sample})),
+                                  Server::NowMs())
+                  .status,
+              202);
+  }
+  ASSERT_TRUE(stack.server->Start().ok());
+  stack.server->Stop();
+  stack.fleet->Stop();
+  const fleet::FleetStats stats = stack.fleet->stats();
+  EXPECT_EQ(stats.ingest.records_dropped_late, 0u);
+  EXPECT_EQ(stats.ingest.records_folded, incident.records.size());
 }
 
 TEST(ServeServerTest, ConnectionTableIsBounded) {
