@@ -1,16 +1,15 @@
 /// Example: a tour of the data-collection substrate (paper Sec. IV-A).
 ///
-/// Raw SQL statements are fingerprinted into templates, published as query
-/// -log records to a Kafka-like topic, folded by the Flink-like aggregator
-/// into per-template 1 s / 1 min metric series, archived in the LogStore
-/// with retention, and finally fed to the active-session estimator. This
-/// is the plumbing every PinSQL diagnosis runs on.
+/// Raw SQL statements are fingerprinted into templates, archived as query
+/// -log records in the LogStore, aggregated into per-template 1 s / 1 min
+/// metric series, trimmed by retention, and finally fed to the active-
+/// session estimator. This is the plumbing every PinSQL diagnosis runs on
+/// (the online service's StreamIngestor does steps 2-3 incrementally).
 
 #include <cstdio>
 
 #include "core/session_estimator.h"
-#include "pipeline/message_queue.h"
-#include "pipeline/stream_aggregator.h"
+#include "pipeline/template_metrics.h"
 #include "sqltpl/fingerprint.h"
 #include "util/rng.h"
 #include "util/strings.h"
@@ -44,8 +43,8 @@ int main() {
                   ? "yes"
                   : "BUG");
 
-  // 2. Collectors publish per-query records to a partitioned topic.
-  pinsql::pipeline::Topic<pinsql::QueryLogRecord> topic("query_logs", 4);
+  // 2. Collectors archive per-query records in the LogStore.
+  pinsql::LogStore archive;
   pinsql::Rng rng(5);
   const int64_t window_sec = 120;
   for (int64_t sec = 0; sec < window_sec; ++sec) {
@@ -56,7 +55,7 @@ int main() {
       rec.response_ms = rng.LogNormalWithMean(8.0, 0.5);
       rec.sql_id = select_id;
       rec.examined_rows = rng.UniformInt(1, 200);
-      topic.Publish(rec.sql_id, rec);
+      archive.Append(rec);
     }
     const int updates = static_cast<int>(rng.Poisson(6));
     for (int i = 0; i < updates; ++i) {
@@ -65,29 +64,24 @@ int main() {
       rec.response_ms = rng.LogNormalWithMean(25.0, 0.5);
       rec.sql_id = update_id;
       rec.examined_rows = rng.UniformInt(50, 3000);
-      topic.Publish(rec.sql_id, rec);
+      archive.Append(rec);
     }
   }
-  std::printf("published %zu records across %zu partitions\n",
-              topic.TotalSize(), topic.num_partitions());
+  std::printf("archived %zu records\n", archive.size());
 
-  // 3. The streaming aggregator drains the topic into per-template series
-  //    and archives raw records.
-  pinsql::LogStore archive;
-  pinsql::StreamAggregator aggregator(&topic, 0, window_sec);
-  aggregator.AttachLogStore(&archive);
-  const size_t consumed = aggregator.PumpAll();
-  std::printf("aggregator consumed %zu records into %zu template series\n",
-              consumed, aggregator.metrics().num_templates());
-  const pinsql::TemplateSeries* select_series =
-      aggregator.metrics().Find(select_id);
+  // 3. Aggregate the window into per-template per-second series.
+  const pinsql::TemplateMetricsStore metrics =
+      pinsql::AggregateWindow(archive, 0, window_sec);
+  std::printf("aggregated the window into %zu template series\n",
+              metrics.num_templates());
+  const pinsql::TemplateSeries* select_series = metrics.Find(select_id);
   std::printf("  SELECT template: %.0f executions, %.1f ms total RT in "
               "second 0\n",
               select_series->execution_count.Sum(),
               select_series->total_response_ms[0]);
 
   // 4. Minute-granularity view (the long-retention storage format).
-  const auto per_minute = aggregator.metrics().Resample(60);
+  const auto per_minute = metrics.Resample(60);
   const pinsql::TemplateSeries* minute_series = per_minute.Find(select_id);
   std::printf("  1-min resample: %zu buckets, first bucket %.0f "
               "executions\n",

@@ -1,74 +1,11 @@
 #include "fleet/fleet_replay.h"
 
 #include <algorithm>
-#include <barrier>
-#include <cmath>
-#include <cstdio>
 #include <limits>
-#include <thread>
-#include <utility>
+
+#include "util/strings.h"
 
 namespace pinsql::fleet {
-
-namespace {
-
-std::string FormatDouble(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-/// One instance's recorded stream expanded for replay: a per-second sample
-/// timeline (gap-filled) and arrival-ordered records bucketed per second.
-struct InstancePlan {
-  std::vector<online::PerfSample> timeline;
-  int64_t first_sec = 0;
-  std::vector<QueryLogRecord> records;
-  std::vector<std::pair<size_t, size_t>> ranges;
-};
-
-InstancePlan BuildPlan(const online::ReplayLog& log) {
-  InstancePlan plan;
-  if (log.samples.empty()) return plan;
-
-  plan.first_sec = log.samples.front().sec;
-  const int64_t last_sec = log.samples.back().sec;
-  plan.timeline.reserve(static_cast<size_t>(last_sec - plan.first_sec + 1));
-  const double gap = std::numeric_limits<double>::quiet_NaN();
-  size_t k = 0;
-  for (int64_t sec = plan.first_sec; sec <= last_sec; ++sec) {
-    while (k < log.samples.size() && log.samples[k].sec < sec) ++k;
-    if (k < log.samples.size() && log.samples[k].sec == sec) {
-      plan.timeline.push_back(log.samples[k]);
-    } else {
-      plan.timeline.push_back(
-          online::PerfSample{.sec = sec, .active_session = gap,
-                             .cpu_usage = gap, .iops_usage = gap,
-                             .row_lock_waits = gap, .mdl_waits = gap});
-    }
-  }
-
-  plan.records = log.records;
-  std::stable_sort(plan.records.begin(), plan.records.end(),
-                   [](const QueryLogRecord& a, const QueryLogRecord& b) {
-                     return a.arrival_ms < b.arrival_ms;
-                   });
-  plan.ranges.resize(plan.timeline.size());
-  size_t cursor = 0;
-  for (size_t i = 0; i < plan.timeline.size(); ++i) {
-    const size_t begin = cursor;
-    const int64_t end_ms = (plan.timeline[i].sec + 1) * 1000;
-    while (cursor < plan.records.size() &&
-           plan.records[cursor].arrival_ms < end_ms) {
-      ++cursor;
-    }
-    if (i + 1 == plan.timeline.size()) cursor = plan.records.size();
-    plan.ranges[i] = {begin, cursor};
-  }
-  return plan;
-}
-
-}  // namespace
 
 std::string FleetResult::Fingerprint() const {
   std::string out;
@@ -142,7 +79,7 @@ std::string FleetResult::Fingerprint() const {
       out += ',';
       out += std::to_string(member.trigger.trigger_sec);
       out += ',';
-      out += FormatDouble(member.trigger.severity);
+      out += StrFormat("%.17g", member.trigger.severity);
       out += ')';
     }
     out += '\n';
@@ -158,7 +95,7 @@ std::string FleetResult::Fingerprint() const {
     out += ",onset=";
     out += std::to_string(verdict.dominant_onset_sec);
     out += ",severity=";
-    out += FormatDouble(verdict.dominant_severity);
+    out += StrFormat("%.17g", verdict.dominant_severity);
     out += ",cotenants=";
     for (uint32_t instance_id : verdict.cotenants) {
       out += std::to_string(instance_id);
@@ -170,36 +107,25 @@ std::string FleetResult::Fingerprint() const {
 }
 
 std::string FleetResult::InstanceFingerprint(uint32_t instance_id) const {
-  std::string out;
-  out += "latencies:";
-  if (auto it = latencies.find(instance_id); it != latencies.end()) {
-    for (int64_t latency : it->second) {
-      out += std::to_string(latency);
-      out += ',';
-    }
-  }
-  out += '\n';
-
-  std::vector<size_t> order;
-  for (size_t i = 0; i < outcomes.size(); ++i) {
-    if (outcomes[i].outcome.trigger.instance_id == instance_id) {
-      order.push_back(i);
-    }
-  }
-  std::sort(order.begin(), order.end(), [this](size_t a, size_t b) {
-    const online::AnomalyTrigger& ta = outcomes[a].outcome.trigger;
-    const online::AnomalyTrigger& tb = outcomes[b].outcome.trigger;
-    if (ta.onset_sec != tb.onset_sec) return ta.onset_sec < tb.onset_sec;
-    return ta.trigger_sec < tb.trigger_sec;
-  });
-  for (size_t idx : order) {
+  std::vector<online::DiagnosisOutcome> slice;
+  for (const FleetOutcome& fleet_outcome : outcomes) {
+    if (fleet_outcome.outcome.trigger.instance_id != instance_id) continue;
     // Normalize the id so the digest is byte-comparable to a solo
-    // ReplayResult::Fingerprint (whose triggers carry instance 0).
-    online::DiagnosisOutcome normalized = outcomes[idx].outcome;
-    normalized.trigger.instance_id = 0;
-    online::AppendOutcomeFingerprint(normalized, &out);
+    // replay's (whose triggers carry instance 0).
+    slice.push_back(fleet_outcome.outcome);
+    slice.back().trigger.instance_id = 0;
   }
-  return out;
+  std::sort(slice.begin(), slice.end(),
+            [](const online::DiagnosisOutcome& a,
+               const online::DiagnosisOutcome& b) {
+              if (a.trigger.onset_sec != b.trigger.onset_sec) {
+                return a.trigger.onset_sec < b.trigger.onset_sec;
+              }
+              return a.trigger.trigger_sec < b.trigger.trigger_sec;
+            });
+  const auto it = latencies.find(instance_id);
+  return online::InstanceFingerprint(
+      it != latencies.end() ? it->second : std::vector<int64_t>{}, slice);
 }
 
 FleetResult RunFleetReplay(const std::vector<FleetInstanceSpec>& specs,
@@ -211,7 +137,7 @@ FleetResult RunFleetReplay(const std::vector<FleetInstanceSpec>& specs,
   if (n == 0) return result;
 
   FleetOptions fleet_options = options.fleet;
-  if (options.zero_timings) fleet_options.scheduler.zero_timings = true;
+  fleet_options.scheduler.zero_timings = true;
   std::vector<FleetInstanceSpec> fleet_specs(specs.begin(),
                                              specs.begin() + n);
   FleetService service(fleet_specs, fleet_options);
@@ -219,61 +145,44 @@ FleetResult RunFleetReplay(const std::vector<FleetInstanceSpec>& specs,
     service.RegisterTemplateFleetWide(sql_id, entry);
   }
 
-  std::vector<InstancePlan> plans;
+  std::vector<online::ReplayPlan> plans;
   plans.reserve(n);
   int64_t first_sec = std::numeric_limits<int64_t>::max();
   int64_t last_sec = std::numeric_limits<int64_t>::min();
   for (size_t i = 0; i < n; ++i) {
-    plans.push_back(BuildPlan(logs[i]));
-    if (!plans.back().timeline.empty()) {
-      first_sec = std::min(first_sec, plans.back().first_sec);
-      last_sec = std::max(last_sec,
-                          plans.back().first_sec +
-                              static_cast<int64_t>(plans.back().timeline.size()) -
-                              1);
+    plans.push_back(online::BuildReplayPlan(logs[i]));
+    if (!plans.back().empty()) {
+      first_sec = std::min(first_sec, plans.back().first_sec());
+      last_sec = std::max(last_sec, plans.back().last_sec());
     }
   }
   if (first_sec > last_sec) return result;
 
-  const int num_workers = std::max(options.num_ingest_workers, 1);
+  const size_t num_workers =
+      static_cast<size_t>(std::max(options.num_ingest_workers, 1));
   service.Start();
-  // Two barriers per simulated second: workers finish every owned
-  // instance's pushes for the second, the main loop advances the fleet
-  // watermark, then everyone moves on. Worker w owns instances ≡ w
-  // (mod W) and pushes in recorded order, so per-instance ingest order is
-  // invariant under W.
-  std::barrier sync(num_workers + 1);
-  std::vector<std::thread> workers;
-  workers.reserve(static_cast<size_t>(num_workers));
-  for (int wid = 0; wid < num_workers; ++wid) {
-    workers.emplace_back([&, wid]() {
-      for (int64_t sec = first_sec; sec <= last_sec; ++sec) {
-        for (size_t i = static_cast<size_t>(wid); i < n;
-             i += static_cast<size_t>(num_workers)) {
-          const InstancePlan& plan = plans[i];
-          if (plan.timeline.empty()) continue;
-          const int64_t idx = sec - plan.first_sec;
-          if (idx < 0 || idx >= static_cast<int64_t>(plan.timeline.size())) {
+  // The fleet clock sweeps the union of the instances' spans. Worker w
+  // owns instances ≡ w (mod W) and pushes each in recorded order, so
+  // per-instance ingest order is invariant under W.
+  online::RunLockstep(
+      static_cast<int>(num_workers), first_sec, last_sec,
+      [&](int worker, int64_t sec) {
+        for (size_t i = static_cast<size_t>(worker); i < n;
+             i += num_workers) {
+          const online::ReplayPlan& plan = plans[i];
+          if (plan.empty() || sec < plan.first_sec() ||
+              sec > plan.last_sec()) {
             continue;
           }
-          const auto [begin, end] = plan.ranges[static_cast<size_t>(idx)];
+          const size_t idx = static_cast<size_t>(sec - plan.first_sec());
+          const auto [begin, end] = plan.ranges[idx];
           for (size_t k = begin; k < end; ++k) {
             service.IngestRecord(specs[i].instance_id, plan.records[k]);
           }
-          service.IngestMetrics(specs[i].instance_id,
-                                plan.timeline[static_cast<size_t>(idx)]);
+          service.IngestMetrics(specs[i].instance_id, plan.timeline[idx]);
         }
-        sync.arrive_and_wait();
-        sync.arrive_and_wait();
-      }
-    });
-  }
-  for (int64_t sec = first_sec; sec <= last_sec; ++sec) {
-    sync.arrive_and_wait();
-    service.AdvanceTo(sec);
-    sync.arrive_and_wait();
-  }
-  for (std::thread& worker : workers) worker.join();
+      },
+      [&](int64_t sec) { service.AdvanceTo(sec); });
   service.Stop();
 
   result.outcomes = service.outcomes();

@@ -20,9 +20,6 @@ struct FleetReplayOptions {
   /// per-instance ingest order — and therefore the fingerprint — is
   /// identical at any worker count.
   int num_ingest_workers = 2;
-  /// Force wall-clock timing fields to zero so replays are
-  /// byte-comparable. On by default; turn off to measure.
-  bool zero_timings = true;
 };
 
 struct FleetResult {
@@ -44,17 +41,20 @@ struct FleetResult {
   /// with pool size).
   std::string Fingerprint() const;
 
-  /// Digest of one instance's slice, with the instance id normalized to 0
-  /// — byte-comparable to ReplayResult::Fingerprint() of a solo replay of
-  /// the same stream, which is how the chaos suite proves per-instance
-  /// isolation (an unfaulted co-tenant is bit-identical to its solo run).
+  /// Digest of one instance's slice (online::InstanceFingerprint over its
+  /// outcomes sorted by onset then trigger, with the instance id
+  /// normalized to 0) — byte-comparable to ReplayResult::Fingerprint() of
+  /// a solo replay of the same stream, which is how the chaos suite proves
+  /// per-instance isolation (an unfaulted co-tenant is bit-identical to
+  /// its solo run).
   std::string InstanceFingerprint(uint32_t instance_id) const;
 };
 
 /// Replays one recorded stream per instance through a fresh FleetService,
 /// bit-deterministically: the fleet clock sweeps the union of the
 /// instances' sample spans, each simulated second is fully ingested for
-/// every instance before the fleet processes it, and `catalog` seeds every
+/// every instance before the fleet processes it, report timing fields are
+/// zeroed so replays are byte-comparable, and `catalog` seeds every
 /// instance's archive. `logs` is parallel to `specs`; an instance with no
 /// samples never starts its virtual clock (its records are not
 /// processed).

@@ -2,7 +2,9 @@
 #define PINSQL_ONLINE_REPLAY_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "logstore/log_store.h"
@@ -27,9 +29,6 @@ struct ReplayOptions {
   /// queue order — and therefore every downstream result — is identical at
   /// any thread count.
   int num_ingest_threads = 1;
-  /// Force wall-clock timing fields to zero in the produced reports so
-  /// replays are byte-comparable. On by default; turn off to measure.
-  bool zero_timings = true;
 };
 
 struct ReplayResult {
@@ -47,15 +46,56 @@ struct ReplayResult {
 
 /// Appends the deterministic digest of one diagnosis outcome (trigger
 /// fields, report JSON, repair accounting). Shared by the single-instance
-/// ReplayResult fingerprint and the fleet-level fingerprints, so "the same
-/// diagnosis" digests identically in both deployments.
+/// digest below and the fleet-level fingerprints, so "the same diagnosis"
+/// digests identically in both deployments.
 void AppendOutcomeFingerprint(const DiagnosisOutcome& outcome,
                               std::string* out);
 
+/// The single-instance digest: a "latencies:" line (detection latencies in
+/// firing order) followed by every outcome's AppendOutcomeFingerprint. The
+/// solo replay, a fleet instance's slice and the durable service all
+/// digest through this, so their fingerprints are byte-comparable.
+std::string InstanceFingerprint(
+    const std::vector<int64_t>& detection_latencies_sec,
+    const std::vector<DiagnosisOutcome>& outcomes);
+
+/// One recorded stream expanded for replay. `timeline` holds one sample per
+/// second from the first to the last recorded second; missing seconds are
+/// NaN gap samples, so the virtual clock never stalls. `records` is the
+/// log's records stably sorted by arrival time, and `ranges[i]` (parallel
+/// to `timeline`) is the [begin, end) slice of them pushed in second i:
+/// everything that arrived before the end of that second and was not
+/// pushed yet; the last second also takes the tail. Empty when the log
+/// has no samples.
+struct ReplayPlan {
+  std::vector<PerfSample> timeline;
+  std::vector<QueryLogRecord> records;
+  std::vector<std::pair<size_t, size_t>> ranges;
+
+  bool empty() const { return timeline.empty(); }
+  int64_t first_sec() const { return timeline.front().sec; }
+  int64_t last_sec() const { return timeline.back().sec; }
+};
+
+ReplayPlan BuildReplayPlan(const ReplayLog& log);
+
+/// Runs seconds [first_sec, last_sec] in lockstep over `num_workers` ingest
+/// threads and the calling thread, with two barriers per second: every
+/// worker runs push(worker, sec), then the caller runs advance(sec) while
+/// the workers wait, then everyone moves to the next second. Each second
+/// is therefore fully ingested before it is processed. The replays keep
+/// their results invariant under the worker count by giving each worker a
+/// fixed, disjoint share of the ingest keys. `push` and `advance` must not
+/// throw: a thread blocked on the barrier could not be joined.
+void RunLockstep(int num_workers, int64_t first_sec, int64_t last_sec,
+                 const std::function<void(int worker, int64_t sec)>& push,
+                 const std::function<void(int64_t sec)>& advance);
+
 /// Replays a recorded stream through a fresh OnlineService, bit-
 /// deterministically: the clock is the sample stream, ingest threads are
-/// shard-partitioned, and each simulated second is fully ingested before
-/// it is processed. `catalog` seeds the archive's template texts.
+/// shard-partitioned, each simulated second is fully ingested before it
+/// is processed, and report timing fields are zeroed so replays are
+/// byte-comparable. `catalog` seeds the archive's template texts.
 /// `supervisor` (optional) closes the loop — repairs mutate its engine and
 /// time-to-repair is measured against it.
 ReplayResult RunReplay(const ReplayLog& log, const LogStore& catalog,

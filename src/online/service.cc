@@ -161,8 +161,7 @@ void OnlineService::ProcessSecond(int64_t sec,
   auto outcomes = scheduler_.Poll(sec);
   completed->insert(completed->end(), outcomes.begin(), outcomes.end());
 
-  if (options_.retention_every_sec > 0 &&
-      sec % options_.retention_every_sec == 0) {
+  if (sec % kRetentionEverySec == 0) {
     // Never trim a record an open sliding window or an in-flight diagnosis
     // still needs.
     int64_t keep_from_ms = std::numeric_limits<int64_t>::max();
@@ -172,8 +171,7 @@ void OnlineService::ProcessSecond(int64_t sec,
     if (auto floor = scheduler_.open_window_floor_ms(); floor.has_value()) {
       keep_from_ms = std::min(keep_from_ms, *floor);
     }
-    records_retired_ += archive_.TrimExpiredKeeping(sec * 1000, keep_from_ms,
-                                                    options_.retention_ms);
+    records_retired_ += archive_.TrimExpiredKeeping(sec * 1000, keep_from_ms);
     ++retention_sweeps_;
   }
 

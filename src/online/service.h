@@ -21,13 +21,15 @@
 
 namespace pinsql::online {
 
+/// Archive retention sweep cadence, in processed seconds. A sweep trims
+/// the archive to LogStore::kRetentionMs behind the processed second,
+/// keeping what open windows and in-flight diagnoses still need.
+inline constexpr int64_t kRetentionEverySec = 60;
+
 struct ServiceOptions {
   IngestorOptions ingestor;
   OnlineDetectorOptions detector;
   SchedulerOptions scheduler;
-  /// Archive retention sweep cadence in processed seconds (0 disables).
-  int64_t retention_every_sec = 60;
-  int64_t retention_ms = LogStore::kRetentionMs;
   /// Real-time mode: a background thread keeps pumping the ingestor's
   /// staging queues so producers never see deep queues between Advance()
   /// calls. Replay leaves this off — Advance() pumps deterministically.

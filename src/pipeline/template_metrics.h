@@ -7,6 +7,7 @@
 
 #include "logstore/log_store.h"
 #include "ts/time_series.h"
+#include "util/thread_pool.h"
 
 namespace pinsql {
 
@@ -21,8 +22,9 @@ struct TemplateSeries {
 };
 
 /// Aggregated template metrics for one instance and one time window.
-/// Produced by the StreamAggregator at 1 s granularity; 1 min granularity
-/// is derived via Resample.
+/// Built at 1 s granularity by AggregateWindow (the diagnosis path) or by
+/// the online StreamIngestor's ring snapshot; 1 min granularity is
+/// derived via Resample.
 ///
 /// Memory layout (DESIGN.md §13): the series live in one contiguous
 /// vector in first-touch order — scans over every template (AllSorted,
@@ -107,6 +109,19 @@ class TemplateMetricsStore {
   std::vector<TemplateSeries> series_;
   std::unordered_map<uint64_t, uint32_t> slot_;
 };
+
+/// Aggregates the records of `store` over [start_sec, end_sec) at
+/// `interval_sec` granularity, in the archive's arrival-time scan order.
+///
+/// With a multi-threaded `pool`, templates are sharded across it (shard =
+/// sql_id modulo pool size); each shard scans the window accumulating only
+/// its own templates, and the disjoint shards merge in shard order. Every
+/// per-template series sees its records in the serial scan's order, so the
+/// result is bit-identical to the serial path, which runs when `pool` is
+/// null or single-threaded.
+TemplateMetricsStore AggregateWindow(const LogStore& store, int64_t start_sec,
+                                     int64_t end_sec, int64_t interval_sec = 1,
+                                     util::ThreadPool* pool = nullptr);
 
 }  // namespace pinsql
 

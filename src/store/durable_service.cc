@@ -205,7 +205,7 @@ Status DurableOnlineService::CheckpointLocked() {
   // retained checkpoint already covers — a fallback recovery must always
   // find its full replay suffix on disk.
   if (auto mark = service_->ingestor().watermark_sec(); mark.has_value()) {
-    int64_t cutoff_ms = *mark * 1000 - options_.service.retention_ms;
+    int64_t cutoff_ms = *mark * 1000 - LogStore::kRetentionMs;
     if (auto floor = service_->ingestor().window_floor_sec();
         floor.has_value()) {
       cutoff_ms = std::min(cutoff_ms, *floor * 1000);
@@ -255,17 +255,8 @@ DurableStats DurableOnlineService::stats() const {
 
 std::string DurableOnlineService::Fingerprint() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::string out;
-  out += "latencies:";
-  for (int64_t latency : service_->detector().latencies_sec()) {
-    out += std::to_string(latency);
-    out += ',';
-  }
-  out += '\n';
-  for (const online::DiagnosisOutcome& outcome : service_->outcomes()) {
-    online::AppendOutcomeFingerprint(outcome, &out);
-  }
-  return out;
+  return online::InstanceFingerprint(service_->detector().latencies_sec(),
+                                     service_->outcomes());
 }
 
 }  // namespace pinsql::store

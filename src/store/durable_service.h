@@ -121,9 +121,9 @@ class DurableOnlineService {
   const RecoveryStats& recovery() const { return recovery_; }
   DurableStats stats() const;
 
-  /// Deterministic digest of every diagnosis produced so far (same shape
-  /// as ReplayResult::Fingerprint) — the byte-identical recovery contract
-  /// is stated over this digest.
+  /// Deterministic digest of every diagnosis produced so far
+  /// (online::InstanceFingerprint, as ReplayResult::Fingerprint) — the
+  /// byte-identical recovery contract is stated over this digest.
   std::string Fingerprint() const;
 
  private:

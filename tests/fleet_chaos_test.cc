@@ -9,7 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include "detect/forecast.h"
+#include "eval/case_generator.h"
 #include "eval/fleet_cases.h"
+#include "eval/online_e2e.h"
 #include "faults/fault_injector.h"
 #include "fleet/fleet_replay.h"
 #include "online/replay.h"
@@ -150,6 +153,64 @@ TEST(FleetChaosTest, CleanInstanceMatchesSoloReplayBitForBit) {
   // At least one clean instance must carry a real incident, or the
   // bit-equality above only compared empty digests.
   EXPECT_GT(with_outcomes, 0u) << "solo-vs-fleet comparison is vacuous";
+}
+
+/// A fleet of one equals a single instance, over a seeded sweep: every
+/// SynADAC category at two seeds, replayed through RunFleetReplay with one
+/// spec and through RunReplay, at 1 and 4 ingest workers/threads. This is
+/// the oracle that the two deployments share one replay harness.
+TEST(FleetChaosTest, FleetOfOneMatchesSoloReplayOverSeededSweep) {
+  FleetReplayOptions fleet = ChaosReplayOptions();
+  // Screen plus forecasters, so the drift-shaped categories fire too.
+  fleet.fleet.detector.forecasters = detect::DefaultEnsembleForecasters();
+  online::ReplayOptions solo;
+  solo.service.ingestor = fleet.fleet.ingestor;
+  solo.service.detector = fleet.fleet.detector;
+  solo.service.scheduler = fleet.fleet.scheduler;
+
+  size_t cases = 0;
+  size_t with_outcomes = 0;
+  for (const workload::AnomalyType type : workload::AllAnomalyTypes()) {
+    for (const uint64_t seed : {11u, 12u}) {
+      eval::CaseGenOptions gen;
+      gen.type = type;
+      gen.seed = seed;
+      gen.scenario.num_clusters = 3;
+      gen.scenario.min_templates_per_cluster = 5;
+      gen.scenario.max_templates_per_cluster = 10;
+      gen.pre_anomaly_sec = 300;
+      gen.anomaly_duration_sec = 150;
+      gen.post_anomaly_sec = 40;
+      const eval::AnomalyCaseData data = eval::GenerateCase(gen);
+      const std::vector<online::ReplayLog> logs = {
+          eval::RecordCaseReplay(data)};
+      const std::vector<FleetInstanceSpec> specs = {
+          FleetInstanceSpec{.instance_id = 0, .host_id = 0}};
+      bool any_outcome = false;
+      for (const int threads : {1, 4}) {
+        SCOPED_TRACE(std::string(workload::AnomalyTypeName(type)) +
+                     " seed=" + std::to_string(seed) +
+                     " threads=" + std::to_string(threads));
+        fleet.num_ingest_workers = threads;
+        solo.num_ingest_threads = threads;
+        const FleetResult fleet_result =
+            RunFleetReplay(specs, logs, data.logs, fleet);
+        const online::ReplayResult solo_result =
+            online::RunReplay(logs[0], data.logs, solo);
+        EXPECT_EQ(fleet_result.InstanceFingerprint(0),
+                  solo_result.Fingerprint());
+        any_outcome = any_outcome || !solo_result.outcomes.empty();
+      }
+      ++cases;
+      if (any_outcome) ++with_outcomes;
+    }
+  }
+  ASSERT_GE(cases, 20u);
+  RecordProperty("cases_with_outcomes", static_cast<int>(with_outcomes));
+  // Not vacuous: most cases must carry a diagnosis, not compare two empty
+  // digests.
+  EXPECT_GE(2 * with_outcomes, cases)
+      << with_outcomes << " of " << cases << " cases produced an outcome";
 }
 
 }  // namespace

@@ -137,7 +137,7 @@ online::ReplayLog ScanConfirmedInput(const std::string& data_dir,
 }
 
 std::string ReferenceFingerprint(const online::ReplayLog& log) {
-  online::ReplayOptions options;  // zero_timings defaults on
+  online::ReplayOptions options;  // replays always zero timings
   return RunReplay(log, SyntheticCatalog(), options).Fingerprint();
 }
 

@@ -115,13 +115,13 @@ void Feed(DurableOnlineService* service, const online::ReplayLog& log,
 
 DurableServiceOptions DurableOpts() {
   DurableServiceOptions options;
-  // Byte-comparable reports, matching ReplayOptions::zero_timings.
+  // Byte-comparable reports, matching RunReplay (which zeroes timings).
   options.service.scheduler.zero_timings = true;
   return options;
 }
 
 std::string ReferenceFingerprint(const online::ReplayLog& log) {
-  online::ReplayOptions options;  // zero_timings defaults on
+  online::ReplayOptions options;  // replays always zero timings
   return RunReplay(log, SyntheticCatalog(), options).Fingerprint();
 }
 
