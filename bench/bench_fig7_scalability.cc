@@ -25,9 +25,13 @@ int EnvInt(const char* name, int fallback) {
   return value != nullptr ? std::atoi(value) : fallback;
 }
 
+/// Diagnoses one generated case; returns the total diagnosis time. When
+/// `estimate_us_per_sec` is non-null it receives the session-estimation
+/// stage time per diagnosis-window second.
 double RunOneCase(const pinsql::eval::CaseGenOptions& options,
                   bool use_injected_period, size_t* num_templates,
-                  int64_t* anomaly_len) {
+                  int64_t* anomaly_len,
+                  double* estimate_us_per_sec = nullptr) {
   const pinsql::eval::AnomalyCaseData data =
       pinsql::eval::GenerateCase(options);
   pinsql::core::DiagnosisInput input =
@@ -43,6 +47,10 @@ double RunOneCase(const pinsql::eval::CaseGenOptions& options,
           .value();
   *num_templates = result.metrics.num_templates();
   *anomaly_len = input.anomaly_end_sec - input.anomaly_start_sec;
+  if (estimate_us_per_sec != nullptr) {
+    *estimate_us_per_sec = result.estimate_seconds * 1e6 /
+                           static_cast<double>(result.te_sec - result.ts_sec);
+  }
   return result.total_seconds;
 }
 
@@ -117,10 +125,13 @@ int main(int argc, char** argv) {
   }
 
   std::printf("\nFIG 7 (right): computing time vs anomaly period length\n");
-  std::printf("%10s %12s %14s\n", "#templates", "anomaly(s)", "time(s)");
+  std::printf("%10s %12s %14s %18s\n", "#templates", "anomaly(s)", "time(s)",
+              "estimate(us/win-s)");
   std::vector<double> lengths;
   std::vector<double> times_by_length;
   double max_time = 0.0;
+  double min_estimate_rate = 1e300;
+  double max_estimate_rate = 0.0;
   for (int64_t duration : {120, 300, 600, 1200, 2400}) {
     pinsql::eval::CaseGenOptions options;
     // One seed for the whole sweep: identical workload and injection, so
@@ -130,11 +141,14 @@ int main(int argc, char** argv) {
     options.anomaly_duration_sec = duration;
     size_t templates = 0;
     int64_t anomaly_len = 0;
+    double estimate_rate = 0.0;
     const double secs =
         RunOneCase(options, /*use_injected_period=*/true, &templates,
-                   &anomaly_len);
-    std::printf("%10zu %12lld %14.3f\n", templates,
-                static_cast<long long>(anomaly_len), secs);
+                   &anomaly_len, &estimate_rate);
+    std::printf("%10zu %12lld %14.3f %18.1f\n", templates,
+                static_cast<long long>(anomaly_len), secs, estimate_rate);
+    min_estimate_rate = std::min(min_estimate_rate, estimate_rate);
+    max_estimate_rate = std::max(max_estimate_rate, estimate_rate);
     lengths.push_back(static_cast<double>(anomaly_len));
     times_by_length.push_back(secs);
     max_time = std::max(max_time, secs);
@@ -212,6 +226,12 @@ int main(int argc, char** argv) {
   std::printf("  time correlates with anomaly length (corr=%.2f > 0.8): "
               "%s\n",
               corr_length, corr_length > 0.8 ? "OK" : "VIOLATED");
+  // Linear session estimation: its cost per window-second is flat across
+  // the length sweep.
+  const double estimate_spread = max_estimate_rate / min_estimate_rate;
+  std::printf("  session estimation per window-second varies %.2fx < 2x: "
+              "%s\n",
+              estimate_spread, estimate_spread < 2.0 ? "OK" : "VIOLATED");
   std::printf("  8-thread diagnosis speedup %.2fx >= 2.5x: %s%s\n",
               best_speedup, best_speedup >= 2.5 ? "OK" : "VIOLATED",
               std::thread::hardware_concurrency() < 8

@@ -118,7 +118,8 @@ int main() {
   engine.RunUntil(kThrottleOn * 1000.0);
 
   // ---- Phase 2: user throttles the Top-1 SQL by response time -------------
-  const auto window = pinsql::AggregateWindow(logs, kAnomalyStart,
+  const auto window = pinsql::AggregateWindow(logs.SortedRecords(),
+                                              kAnomalyStart,
                                               kThrottleOn);
   const auto top_rt = pinsql::baselines::RankTopSql(
       window, pinsql::baselines::TopSqlMetric::kResponseTime, kAnomalyStart,
@@ -144,7 +145,7 @@ int main() {
   // verification window vacuously clean.
   pinsql::core::MapHistoryProvider empty_history;
   input.history = &empty_history;
-  input.logs = &logs;
+  input.logs = logs.SortedRecords();
   input.active_session = so_far.active_session;
   input.helper_metrics["cpu_usage"] = so_far.cpu_usage;
   input.helper_metrics["iops_usage"] = so_far.iops_usage;

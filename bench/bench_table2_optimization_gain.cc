@@ -60,8 +60,8 @@ TemplateStats ResimulateOptimized(const pinsql::eval::AnomalyCaseData& data,
       data.workload, data.overrides, data.window_start_sec,
       data.window_end_sec, data.arrival_seed));
   engine.RunToCompletion();
-  const auto metrics = pinsql::AggregateWindow(logs, data.window_start_sec,
-                                               data.window_end_sec);
+  const auto metrics = pinsql::AggregateWindow(
+      logs.SortedRecords(), data.window_start_sec, data.window_end_sec);
   return StatsFor(metrics, target, data.injected_as, data.injected_ae);
 }
 
@@ -92,7 +92,7 @@ int main() {
         pinsql::core::Diagnose(input, pinsql::core::DiagnoserOptions{})
             .value();
     const auto window = pinsql::AggregateWindow(
-        data.logs, data.window_start_sec, data.window_end_sec);
+        data.logs.SortedRecords(), data.window_start_sec, data.window_end_sec);
 
     // Slow-SQL pick: highest mean response time with non-trivial traffic.
     uint64_t slow_pick = 0;

@@ -5,9 +5,13 @@
 ///   - Estimate w/o buckets  (whole-second expectation)
 ///   - Estimate (K=10)       (the paper's bucketed method)
 /// Paper reference: Pearson 0.54 / 0.92 / 0.96, MSE decreasing.
+///
+/// Exits with the number of violated shape checks (0 = all hold), so CI
+/// fails on an estimator regression.
 
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 
 #include "core/session_estimator.h"
 #include "eval/case_generator.h"
@@ -53,21 +57,32 @@ int main() {
   std::printf("------------------------------------------------\n");
 
   double pearson[3] = {0, 0, 0};
+  double mse[3] = {0, 0, 0};
   for (int i = 0; i < 3; ++i) {
     const pinsql::core::SessionEstimate est = pinsql::core::EstimateSessions(
-        data.logs, observed, ts, te, rows[i].options);
+        data.logs.SortedRecords(), observed, ts, te, rows[i].options);
     pearson[i] =
         pinsql::PearsonCorrelation(est.total.values(), observed.values());
-    const double mse =
-        pinsql::MeanSquaredError(est.total.values(), observed.values());
-    std::printf("%-22s %10.3f %14.2f\n", rows[i].name, pearson[i], mse);
+    mse[i] = pinsql::MeanSquaredError(est.total.values(), observed.values());
+    std::printf("%-22s %10.3f %14.2f\n", rows[i].name, pearson[i], mse[i]);
   }
 
+  int violations = 0;
+  const auto check = [&violations](const std::string& what, bool ok) {
+    std::printf("  %s: %s\n", what.c_str(), ok ? "OK" : "VIOLATED");
+    if (!ok) ++violations;
+  };
   std::printf("\nshape checks:\n");
-  std::printf("  bucketed > w/o buckets > by-RT (Pearson): %s\n",
-              (pearson[2] >= pearson[1] && pearson[1] > pearson[0])
-                  ? "OK"
-                  : "VIOLATED");
+  check("bucketed > w/o buckets > by-RT (Pearson)",
+        pearson[2] >= pearson[1] && pearson[1] > pearson[0]);
+  // Accuracy floor of the K=10 estimator. The MSE bound is the value the
+  // per-second estimator reached before the linear-time rewrite (1.31074,
+  // printed as 1.31), rounded up at the fourth decimal.
+  char bound[128];
+  std::snprintf(bound, sizeof(bound),
+                "K=10 Pearson %.5f >= 0.999 and MSE %.5f <= 1.3108",
+                pearson[2], mse[2]);
+  check(bound, pearson[2] >= 0.999 && mse[2] <= 1.3108);
 
   // Design-choice ablation (DESIGN.md §4.1): sweep the bucket count K.
   // K=1 equals the no-buckets expectation; returns diminish past ~10.
@@ -78,12 +93,12 @@ int main() {
     options.mode = SessionEstimatorMode::kBucketed;
     options.num_buckets = k;
     const pinsql::core::SessionEstimate est = pinsql::core::EstimateSessions(
-        data.logs, observed, ts, te, options);
+        data.logs.SortedRecords(), observed, ts, te, options);
     std::printf("%6d %10.4f %14.2f\n", k,
                 pinsql::PearsonCorrelation(est.total.values(),
                                            observed.values()),
                 pinsql::MeanSquaredError(est.total.values(),
                                          observed.values()));
   }
-  return 0;
+  return violations;
 }

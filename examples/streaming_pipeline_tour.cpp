@@ -71,7 +71,7 @@ int main() {
 
   // 3. Aggregate the window into per-template per-second series.
   const pinsql::TemplateMetricsStore metrics =
-      pinsql::AggregateWindow(archive, 0, window_sec);
+      pinsql::AggregateWindow(archive.SortedRecords(), 0, window_sec);
   std::printf("aggregated the window into %zu template series\n",
               metrics.num_templates());
   const pinsql::TemplateSeries* select_series = metrics.Find(select_id);
@@ -101,7 +101,7 @@ int main() {
     observed[i] = 0.5;  // a quiet instance
   }
   const auto estimate = pinsql::core::EstimateSessions(
-      archive, observed, 60, window_sec,
+      archive.SortedRecords(), observed, 60, window_sec,
       pinsql::core::SessionEstimatorOptions{});
   std::printf("\nestimated active sessions over [60, %lld):\n",
               static_cast<long long>(window_sec));

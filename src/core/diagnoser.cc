@@ -26,9 +26,6 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
 /// index math). Damaged-but-usable inputs pass and are degraded later.
 Status ValidateInput(const DiagnosisInput& input,
                      const DiagnoserOptions& options) {
-  if (input.logs == nullptr) {
-    return Status::InvalidArgument("DiagnosisInput.logs must not be null");
-  }
   if (input.history == nullptr) {
     return Status::InvalidArgument(
         "DiagnosisInput.history must not be null (pass an empty "
@@ -223,9 +220,11 @@ StatusOr<DiagnosisResult> Diagnose(const DiagnosisInput& input,
   auto t0 = std::chrono::steady_clock::now();
   {
     obs::Span span(options.trace, "diagnose.session_estimation");
-    result.estimate =
-        EstimateSessions(*input.logs, session, result.ts_sec, result.te_sec,
-                         options.estimator, pool.get());
+    result.estimate = EstimateSessions(
+        ArrivalSlice(input.logs,
+                     (result.ts_sec - kEstimatorLookbackSec) * 1000,
+                     result.te_sec * 1000),
+        session, result.ts_sec, result.te_sec, options.estimator, pool.get());
   }
   result.estimate_seconds = SecondsSince(t0);
 
@@ -245,7 +244,7 @@ StatusOr<DiagnosisResult> Diagnose(const DiagnosisInput& input,
   t0 = std::chrono::steady_clock::now();
   {
     obs::Span span(options.trace, "diagnose.window_aggregation");
-    result.metrics = AggregateWindow(*input.logs, result.ts_sec,
+    result.metrics = AggregateWindow(input.logs, result.ts_sec,
                                      result.te_sec, /*interval_sec=*/1,
                                      pool.get());
   }

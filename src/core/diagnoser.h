@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -38,13 +39,22 @@ struct DiagnoserOptions {
   obs::TraceRecorder* trace = nullptr;
 };
 
+/// Session estimation also reads queries that arrived this long before the
+/// diagnosis window but were still running inside it (10 min suffices for
+/// the workloads simulated here; queries rarely run longer).
+inline constexpr int64_t kEstimatorLookbackSec = 600;
+
 /// Everything PinSQL consumes for one anomaly case. The metric series
 /// should cover [anomaly_start - delta_s, anomaly_end); partial coverage
 /// degrades the diagnosis (recorded in DataQuality) and zero overlap with
-/// the anomaly period is rejected. `logs` and `history` must be non-null
-/// (pass an empty MapHistoryProvider when no history exists).
+/// the anomaly period is rejected. `history` must be non-null (pass an
+/// empty MapHistoryProvider when no history exists).
 struct DiagnosisInput {
-  const LogStore* logs = nullptr;
+  /// Query-log records in arrival order, read in place: a LogStore's
+  /// SortedRecords(), or the SnapshotRange() copy the online scheduler
+  /// takes. Records outside [a_s - delta_s - kEstimatorLookbackSec, a_e)
+  /// are ignored; none at all degrades the diagnosis (log outage).
+  std::span<const QueryLogRecord> logs;
   TimeSeries active_session;
   /// Additional metrics used as clustering helper nodes (cpu_usage,
   /// iops_usage, row-lock and MDL wait counters, ...).
@@ -129,7 +139,7 @@ struct DiagnosisResult {
 /// individual active sessions -> rank H-SQLs -> cluster/filter/verify ->
 /// rank R-SQLs.
 ///
-/// Malformed inputs (null logs/history, inverted or empty anomaly bounds,
+/// Malformed inputs (null history, inverted or empty anomaly bounds,
 /// metrics that miss the anomaly period entirely) return InvalidArgument
 /// instead of undefined behaviour. Damaged-but-usable inputs (metric gaps,
 /// truncated windows, missing history) are absorbed and accounted for in

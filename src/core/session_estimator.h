@@ -2,8 +2,8 @@
 #define PINSQL_CORE_SESSION_ESTIMATOR_H_
 
 #include <cstdint>
+#include <span>
 #include <unordered_map>
-#include <vector>
 
 #include "logstore/log_store.h"
 #include "pipeline/template_metrics.h"
@@ -46,18 +46,19 @@ struct SessionEstimate {
 /// session is the sum of P(observed(sel_t, q)) over the template's
 /// queries. `observed_session` must cover [ts_sec, te_sec).
 ///
-/// A non-null `pool` parallelizes the expectation pass (sharded by second)
-/// and the per-template pass (sharded by template); both shards preserve
-/// the serial accumulation order per output cell, so the estimate is
-/// bit-identical to the single-threaded run.
-SessionEstimate EstimateSessions(const std::vector<QueryLogRecord>& logs,
-                                 const TimeSeries& observed_session,
-                                 int64_t ts_sec, int64_t te_sec,
-                                 const SessionEstimatorOptions& options,
-                                 util::ThreadPool* pool = nullptr);
-
-/// Convenience overload scanning a LogStore for the window's records.
-SessionEstimate EstimateSessions(const LogStore& store,
+/// Cost is O(records·K + n·K + templates·n) for an n-second window: the
+/// overlap math runs only for the first and last second of each record's
+/// span, and the whole seconds in between (occupancy exactly one in every
+/// bucket) are added through difference arrays. Every record of `logs`
+/// counts, wherever it arrived; Diagnose passes the window's records plus
+/// a look-back for queries still running into it.
+///
+/// A non-null `pool` parallelizes the expectation pass (each task owns a
+/// contiguous block of seconds) and the per-template pass (each task owns
+/// one template); every output cell sums its fractional contributions in
+/// record order and then adds its whole-second count, whatever the
+/// sharding, so the estimate is bit-identical to the single-threaded run.
+SessionEstimate EstimateSessions(std::span<const QueryLogRecord> logs,
                                  const TimeSeries& observed_session,
                                  int64_t ts_sec, int64_t te_sec,
                                  const SessionEstimatorOptions& options,

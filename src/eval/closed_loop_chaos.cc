@@ -110,7 +110,7 @@ ClosedLoopCaseOutcome RunClosedLoopCase(const ClosedLoopOptions& options,
   core::DiagnosisInput input;
   core::MapHistoryProvider empty_history;
   input.history = &empty_history;
-  input.logs = &logs;
+  input.logs = logs.SortedRecords();
   input.active_session = so_far.active_session;
   input.helper_metrics["cpu_usage"] = so_far.cpu_usage;
   input.helper_metrics["iops_usage"] = so_far.iops_usage;

@@ -26,7 +26,7 @@ void ForEachCase(
 
 core::DiagnosisInput MakeDiagnosisInput(const AnomalyCaseData& data) {
   core::DiagnosisInput input;
-  input.logs = &data.logs;
+  input.logs = data.logs.SortedRecords();
   input.active_session = data.metrics.active_session;
   input.helper_metrics["cpu_usage"] = data.metrics.cpu_usage;
   input.helper_metrics["iops_usage"] = data.metrics.iops_usage;

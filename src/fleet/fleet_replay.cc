@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <span>
 
 #include "util/strings.h"
 
@@ -176,9 +177,10 @@ FleetResult RunFleetReplay(const std::vector<FleetInstanceSpec>& specs,
           }
           const size_t idx = static_cast<size_t>(sec - plan.first_sec());
           const auto [begin, end] = plan.ranges[idx];
-          for (size_t k = begin; k < end; ++k) {
-            service.IngestRecord(specs[i].instance_id, plan.records[k]);
-          }
+          service.IngestRecords(
+              specs[i].instance_id,
+              std::span<const QueryLogRecord>(plan.records).subspan(
+                  begin, end - begin));
           service.IngestMetrics(specs[i].instance_id, plan.timeline[idx]);
         }
       },

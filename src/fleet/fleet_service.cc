@@ -127,21 +127,33 @@ void FleetService::Stop() {
 
 bool FleetService::IngestRecord(uint32_t instance_id,
                                 const QueryLogRecord& record) {
+  return IngestRecords(instance_id, {&record, 1}) == 1;
+}
+
+size_t FleetService::IngestRecords(uint32_t instance_id,
+                                   std::span<const QueryLogRecord> records,
+                                   std::vector<QueryLogRecord>* accepted) {
   auto it = index_by_id_.find(instance_id);
-  if (it == index_by_id_.end()) return false;
+  if (it == index_by_id_.end()) return 0;
   Instance& instance = instances_[it->second];
-  if (!durable()) return instance.ingestor->IngestRecord(record);
+  if (!durable()) return instance.ingestor->IngestRecords(records, accepted);
   // The inner ingest and the journal buffer form one atomic step, so the
   // journal replays in exactly the order the rings accepted.
   std::lock_guard<std::mutex> journal_lock(*instance.journal_mu);
-  const bool accepted = instance.ingestor->IngestRecord(record);
   // Buffer for the journal only while a writer exists to drain it: an
   // instance whose writer failed to open runs in-memory, and buffering
   // without a flusher would grow `pending` without bound.
-  if (accepted && instance.writer != nullptr) {
-    instance.pending.push_back(record);
+  if (instance.writer == nullptr) {
+    return instance.ingestor->IngestRecords(records, accepted);
   }
-  return accepted;
+  const size_t before = instance.pending.size();
+  const size_t ok =
+      instance.ingestor->IngestRecords(records, &instance.pending);
+  if (accepted != nullptr) {
+    accepted->insert(accepted->end(), instance.pending.begin() + before,
+                     instance.pending.end());
+  }
+  return ok;
 }
 
 bool FleetService::IngestMetrics(uint32_t instance_id,
@@ -236,9 +248,7 @@ void FleetService::RecoverJournalsLocked() {
              batches[i].front().sample->sec <= sec) {
         Batch batch = std::move(batches[i].front());
         batches[i].pop_front();
-        for (const QueryLogRecord& record : batch.records) {
-          instance.ingestor->IngestRecord(record);
-        }
+        instance.ingestor->IngestRecords(batch.records);
         instance.ingestor->IngestMetrics(*batch.sample);
       }
     }
@@ -248,9 +258,7 @@ void FleetService::RecoverJournalsLocked() {
   // exactly as they were before the crash.
   for (size_t i = 0; i < instances_.size(); ++i) {
     for (const Batch& batch : batches[i]) {
-      for (const QueryLogRecord& record : batch.records) {
-        instances_[i].ingestor->IngestRecord(record);
-      }
+      instances_[i].ingestor->IngestRecords(batch.records);
     }
   }
 
@@ -298,9 +306,31 @@ void FleetService::Fold() {
 }
 
 void FleetService::FoldLocked() {
-  util::ParallelFor(advance_pool_.get(), instances_.size(), [&](size_t i) {
-    instances_[i].ingestor->Pump();
-  });
+  std::vector<Instance*> dirty;
+  for (Instance& instance : instances_) {
+    if (instance.ingestor->has_staged()) dirty.push_back(&instance);
+  }
+  util::ParallelFor(FanOutPool(dirty.size()), dirty.size(),
+                    [&](size_t d) { dirty[d]->ingestor->Pump(); });
+}
+
+util::ThreadPool* FleetService::FanOutPool(size_t staged) const {
+  // Folding is the bulk of an instance's step; a detector step alone takes
+  // microseconds. With no more instances to fold than workers, waking the
+  // helpers costs more CPU than it saves.
+  return staged > static_cast<size_t>(options_.advance_workers)
+             ? advance_pool_.get()
+             : nullptr;
+}
+
+bool FleetService::Dirty(const Instance& instance, int64_t fleet_sec) {
+  if (instance.ingestor->has_staged()) return true;
+  const auto mark = instance.ingestor->watermark_sec();
+  if (!mark.has_value()) return false;
+  // ProcessInstance's step range, [from, to], is non-empty.
+  const int64_t from =
+      instance.processed_any ? instance.last_processed_sec + 1 : *mark;
+  return from <= std::min(*mark, fleet_sec);
 }
 
 void FleetService::ProcessInstance(Instance* instance, int64_t fleet_sec,
@@ -433,11 +463,19 @@ std::vector<FleetOutcome> FleetService::AdvanceToLocked(int64_t fleet_sec) {
     return completed;
   }
 
-  // Parallel per-instance step: pump, sample, detect — into disjoint
-  // per-instance slots, so the merge below sees identical events at any
-  // advance_workers.
+  // Parallel per-instance step over the dirty instances: pump, sample,
+  // detect — into disjoint per-instance slots, so the merge below sees
+  // identical events at any advance_workers. A clean instance would pump
+  // nothing and step no second, so skipping it changes no event.
   std::vector<std::vector<SecondEvent>> events(instances_.size());
-  util::ParallelFor(advance_pool_.get(), instances_.size(), [&](size_t i) {
+  std::vector<size_t> dirty;
+  size_t staged = 0;
+  for (size_t i = 0; i < instances_.size(); ++i) {
+    if (instances_[i].ingestor->has_staged()) ++staged;
+    if (Dirty(instances_[i], fleet_sec)) dirty.push_back(i);
+  }
+  util::ParallelFor(FanOutPool(staged), dirty.size(), [&](size_t d) {
+    const size_t i = dirty[d];
     ProcessInstance(&instances_[i], fleet_sec, &events[i]);
   });
 
@@ -458,7 +496,7 @@ std::vector<FleetOutcome> FleetService::AdvanceToLocked(int64_t fleet_sec) {
   // then the fleet-level ticks.
   std::vector<size_t> cursors(instances_.size(), 0);
   for (int64_t sec = tick_from; sec <= fleet_sec; ++sec) {
-    for (size_t i = 0; i < instances_.size(); ++i) {
+    for (const size_t i : dirty) {
       auto& instance_events = events[i];
       auto& cursor = cursors[i];
       // `<=`: an instance second that predates the fleet clock (a late

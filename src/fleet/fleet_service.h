@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "fleet/correlator.h"
@@ -161,10 +162,23 @@ class FleetService {
   /// Thread-safe producer entry points. Return false when the record /
   /// sample was dropped (and counted). Unknown instance ids are rejected.
   bool IngestRecord(uint32_t instance_id, const QueryLogRecord& record);
+  /// Batch form of IngestRecord: one id lookup, one journal-lock hold and
+  /// one queue-lock hold per touched ingest shard. Returns how many were
+  /// accepted; `accepted`, when non-null, receives exactly the accepted
+  /// records in batch order.
+  size_t IngestRecords(uint32_t instance_id,
+                       std::span<const QueryLogRecord> records,
+                       std::vector<QueryLogRecord>* accepted = nullptr);
   bool IngestMetrics(uint32_t instance_id, const online::PerfSample& sample);
 
   /// Advances the fleet watermark to `fleet_sec` and processes everything
   /// up to it. Returns the fleet outcomes completed by this call.
+  ///
+  /// Only dirty instances are visited: those with records staged since
+  /// their last pump, or detector seconds left to step up to `fleet_sec`.
+  /// The advance workers fan out over that list only when more instances
+  /// than workers have records to fold, so a round that fed a few
+  /// instances runs inline.
   ///
   /// A call that does not advance (`fleet_sec` at or below the last
   /// processed fleet second) is Fold(): no detector steps and nothing
@@ -175,8 +189,9 @@ class FleetService {
   /// sit staged.
   std::vector<FleetOutcome> AdvanceTo(int64_t fleet_sec);
 
-  /// Folds every instance's staged records into its windows and archive,
-  /// stepping no detector and completing nothing. A producer delivering a
+  /// Folds every instance's staged records into its windows and archive
+  /// (visiting only instances with staged records), stepping no detector
+  /// and completing nothing. A producer delivering a
   /// backlog calls it before a sample would move an instance's watermark
   /// more than late_grace_sec() past records that instance has staged:
   /// the next fold would drop those as late.
@@ -237,6 +252,14 @@ class FleetService {
   void OpenJournalsLocked();
   void ProcessInstance(Instance* instance, int64_t fleet_sec,
                        std::vector<SecondEvent>* events);
+  /// Whether AdvanceTo(fleet_sec) has work for `instance`: staged records
+  /// to fold, or watermark seconds up to fleet_sec its detector has not
+  /// stepped.
+  static bool Dirty(const Instance& instance, int64_t fleet_sec);
+  /// The pool a fan-out over the dirty instances runs on: the advance pool
+  /// when more than advance_workers of them (`staged`) have records to
+  /// fold, else none (inline).
+  util::ThreadPool* FanOutPool(size_t staged) const;
   void RouteAcceptedTrigger(const online::AnomalyTrigger& trigger);
   void TriageClosedStorm(StormBatch batch, int64_t now_sec);
   void AppendCompletions(std::vector<FleetScheduler::Completion> completions,

@@ -7,12 +7,21 @@
 
 namespace pinsql {
 
+std::span<const QueryLogRecord> ArrivalSlice(
+    std::span<const QueryLogRecord> sorted, int64_t t0_ms, int64_t t1_ms) {
+  const auto before = [](const QueryLogRecord& r, int64_t t) {
+    return r.arrival_ms < t;
+  };
+  const auto lo = std::lower_bound(sorted.begin(), sorted.end(), t0_ms, before);
+  const auto hi = std::lower_bound(lo, sorted.end(), t1_ms, before);
+  return {lo, hi};
+}
+
 LogStore::LogStore(const LogStore& other) {
   std::lock_guard<std::mutex> lock(other.sort_mu_);
   for (const IndexEntry* e = other.IndexBegin(); e != other.IndexEnd(); ++e) {
     AppendLocked(other.Record(*e));
   }
-  sorted_ = other.sorted_;
   catalog_ = other.catalog_;
 }
 
@@ -22,11 +31,11 @@ LogStore& LogStore::operator=(const LogStore& other) {
   arena_.Clear();
   index_.clear();
   head_ = 0;
+  sorted_end_ = 0;
   materialized_valid_ = false;
   for (const IndexEntry* e = other.IndexBegin(); e != other.IndexEnd(); ++e) {
     AppendLocked(other.Record(*e));
   }
-  sorted_ = other.sorted_;
   catalog_ = other.catalog_;
   return *this;
 }
@@ -36,7 +45,7 @@ LogStore::LogStore(LogStore&& other) noexcept {
   arena_ = std::move(other.arena_);
   index_ = std::move(other.index_);
   head_ = other.head_;
-  sorted_ = other.sorted_;
+  sorted_end_ = other.sorted_end_;
   materialized_ = std::move(other.materialized_);
   materialized_valid_ = other.materialized_valid_;
   catalog_ = std::move(other.catalog_);
@@ -44,7 +53,7 @@ LogStore::LogStore(LogStore&& other) noexcept {
   // move starts a fresh log instead of invoking unspecified vector state.
   other.index_.clear();
   other.head_ = 0;
-  other.sorted_ = true;
+  other.sorted_end_ = 0;
   other.materialized_.clear();
   other.materialized_valid_ = false;
   other.catalog_.clear();
@@ -56,13 +65,13 @@ LogStore& LogStore::operator=(LogStore&& other) noexcept {
   arena_ = std::move(other.arena_);
   index_ = std::move(other.index_);
   head_ = other.head_;
-  sorted_ = other.sorted_;
+  sorted_end_ = other.sorted_end_;
   materialized_ = std::move(other.materialized_);
   materialized_valid_ = other.materialized_valid_;
   catalog_ = std::move(other.catalog_);
   other.index_.clear();
   other.head_ = 0;
-  other.sorted_ = true;
+  other.sorted_end_ = 0;
   other.materialized_.clear();
   other.materialized_valid_ = false;
   other.catalog_.clear();
@@ -70,8 +79,13 @@ LogStore& LogStore::operator=(LogStore&& other) noexcept {
 }
 
 void LogStore::AppendLocked(const QueryLogRecord& record) {
-  if (index_.size() > head_ && record.arrival_ms < index_.back().arrival_ms) {
-    sorted_ = false;
+  // The sorted prefix grows only while no out-of-order record has opened
+  // an unsorted tail; the copy constructors rely on this to rebuild the
+  // same prefix from the source's index order.
+  if (sorted_end_ == index_.size() &&
+      (index_.size() == head_ ||
+       record.arrival_ms >= index_.back().arrival_ms)) {
+    ++sorted_end_;
   }
   index_.push_back(IndexEntry{record.arrival_ms,
                               arena_.Create<QueryLogRecord>(record)});
@@ -112,17 +126,22 @@ size_t LogStore::size() const {
 }
 
 void LogStore::EnsureSortedLocked() const {
-  if (sorted_) return;
+  if (sorted_end_ == index_.size()) return;
   PINSQL_OBS_COUNT("logstore.sort_triggers", 1);
   // Stable: ties on arrival_ms keep append order, the contract every
-  // bit-identity suite leans on. Only the 16-byte index entries move; the
+  // bit-identity suite leans on. The prefix is the stable sort of every
+  // entry appended before the tail, and inplace_merge puts prefix entries
+  // before equal tail entries, so sort-tail-then-merge equals a stable sort
+  // of the whole live index. Only the 16-byte index entries move; the
   // records stay pinned in their slabs.
-  std::stable_sort(index_.begin() + static_cast<ptrdiff_t>(head_),
-                   index_.end(),
-                   [](const IndexEntry& a, const IndexEntry& b) {
-                     return a.arrival_ms < b.arrival_ms;
-                   });
-  sorted_ = true;
+  const auto by_arrival = [](const IndexEntry& a, const IndexEntry& b) {
+    return a.arrival_ms < b.arrival_ms;
+  };
+  const auto mid = index_.begin() + static_cast<ptrdiff_t>(sorted_end_);
+  std::stable_sort(mid, index_.end(), by_arrival);
+  std::inplace_merge(index_.begin() + static_cast<ptrdiff_t>(head_), mid,
+                     index_.end(), by_arrival);
+  sorted_end_ = index_.size();
 }
 
 void LogStore::EnsureSorted() const {
@@ -200,6 +219,7 @@ size_t LogStore::TrimBeforeLocked(int64_t cutoff_ms) {
   if (head_ >= index_.size() - head_) {
     index_.erase(index_.begin(), index_.begin() + static_cast<ptrdiff_t>(head_));
     head_ = 0;
+    sorted_end_ = index_.size();
   }
   materialized_valid_ = false;
   PINSQL_OBS_COUNT("logstore.records_trimmed", dropped);
@@ -227,8 +247,8 @@ void LogStore::ReplaceRecords(std::vector<QueryLogRecord> records) {
   arena_.Clear();
   index_.clear();
   head_ = 0;
+  sorted_end_ = 0;
   materialized_valid_ = false;
-  sorted_ = true;
   for (const QueryLogRecord& record : records) AppendLocked(record);
 }
 

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -24,6 +25,12 @@ struct QueryLogRecord {
   int64_t examined_rows = 0; // #examined_rows(q)
 };
 
+/// The records of an arrival-ordered sequence (a LogStore's SortedRecords()
+/// or SnapshotRange()) with arrival_ms in [t0_ms, t1_ms), by binary search:
+/// the view the diagnosis stages read in place.
+std::span<const QueryLogRecord> ArrivalSlice(
+    std::span<const QueryLogRecord> sorted, int64_t t0_ms, int64_t t1_ms);
+
 /// Side table mapping SQL_ID -> template metadata so the per-record payload
 /// stays small (billions of queries aggregate into tens of thousands of
 /// templates in production).
@@ -42,8 +49,11 @@ struct TemplateCatalogEntry {
 /// instead of 32-byte records; retention pops an index prefix and recycles
 /// whole slabs once every record inside them expired — no O(n) record
 /// memmove per sweep. Completion order != arrival order, so the index is
-/// sorted lazily when scanned (stable: ties keep append order). Retention
-/// trimming models the paper's 3-day expiry.
+/// sorted lazily when scanned (stable: ties keep append order): only the
+/// tail appended since the last sort is sorted, then merged into the
+/// already-sorted prefix, so a long archive that gains a few out-of-order
+/// pumps is not re-sorted whole. Retention trimming models the paper's
+/// 3-day expiry.
 class LogStore {
  public:
   LogStore() = default;
@@ -176,7 +186,10 @@ class LogStore {
   /// Trimmed prefix length: live entries are index_[head_ ..). Dead space
   /// is compacted away once it exceeds the live half.
   size_t head_ = 0;
-  mutable bool sorted_ = true;
+  /// End of the sorted prefix: index_[head_, sorted_end_) is in arrival
+  /// order and index_[sorted_end_ ..) is the tail appended since the last
+  /// sort. Fully sorted iff sorted_end_ == index_.size().
+  mutable size_t sorted_end_ = 0;
   mutable std::vector<QueryLogRecord> materialized_;
   mutable bool materialized_valid_ = false;
   std::unordered_map<uint64_t, TemplateCatalogEntry> catalog_;

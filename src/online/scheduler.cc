@@ -134,20 +134,16 @@ DiagnosisOutcome RunWindowedDiagnosis(const WindowedDiagnosisContext& ctx,
   const int64_t a_e = window_end_sec;
   const int64_t t0 = a_s - options.diagnoser.delta_s_sec;
 
-  // Window-local log store: a consistent point-in-time copy of the archive
-  // records the diagnoser will scan, taken while ingest threads keep
-  // appending. The catalog is copied so BuildReport resolves texts.
-  LogStore window_logs;
-  window_logs.ReplaceRecords(
-      ctx.archive->SnapshotRange(t0 * 1000, a_e * 1000));
-  for (const auto& [sql_id, entry] : ctx.archive->catalog()) {
-    window_logs.RegisterTemplate(sql_id, entry);
-  }
+  // A consistent point-in-time copy of the window's archive records, taken
+  // while ingest threads keep appending; arrival-ordered, so Diagnose reads
+  // it in place. BuildReport resolves template texts from the archive.
+  const std::vector<QueryLogRecord> window_logs =
+      ctx.archive->SnapshotRange(t0 * 1000, a_e * 1000);
 
   WindowMetrics metrics = ctx.ingestor->SnapshotMetrics(t0, a_e);
 
   core::DiagnosisInput input;
-  input.logs = &window_logs;
+  input.logs = window_logs;
   input.active_session = std::move(metrics.active_session);
   input.helper_metrics = std::move(metrics.helpers);
   input.anomaly_start_sec = a_s;

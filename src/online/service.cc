@@ -121,9 +121,7 @@ bool OnlineService::AppendBatch(const std::vector<QueryLogRecord>& records,
     PINSQL_OBS_COUNT("online.service.batches_rejected_stopped", 1);
     return false;
   }
-  for (const QueryLogRecord& record : records) {
-    ingestor_.IngestRecord(record);
-  }
+  ingestor_.IngestRecords(records);
   for (const PerfSample& sample : samples) {
     ingestor_.IngestMetrics(sample);
   }

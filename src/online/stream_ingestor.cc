@@ -109,26 +109,93 @@ void StreamIngestor::DropStagedLocked(Shard* shard) {
   }
 }
 
-bool StreamIngestor::IngestRecord(const QueryLogRecord& record) {
-  Shard& shard = *shards_[ShardIndex(record.sql_id)];
-  std::lock_guard<std::mutex> lock(shard.queue_mu);
-  ++shard.enqueued;
-  if (shard.staged >= options_.shard_queue_capacity) {
-    ++shard.dropped_backpressure;
+bool StreamIngestor::StageLocked(Shard* shard, const QueryLogRecord& record) {
+  ++shard->enqueued;
+  if (shard->staged >= options_.shard_queue_capacity) {
+    ++shard->dropped_backpressure;
     return false;
   }
-  if (shard.tail == nullptr || shard.tail->full()) {
+  if (shard->tail == nullptr || shard->tail->full()) {
     IngestChunk* chunk = pool_->Acquire();
-    if (shard.tail == nullptr) {
-      shard.head = chunk;
+    if (shard->tail == nullptr) {
+      shard->head = chunk;
     } else {
-      shard.tail->next = chunk;
+      shard->tail->next = chunk;
     }
-    shard.tail = chunk;
+    shard->tail = chunk;
   }
-  shard.tail->push(record);
-  ++shard.staged;
+  shard->tail->push(record);
+  ++shard->staged;
   return true;
+}
+
+bool StreamIngestor::IngestRecord(const QueryLogRecord& record) {
+  return IngestRecords({&record, 1}) == 1;
+}
+
+size_t StreamIngestor::IngestRecords(std::span<const QueryLogRecord> records,
+                                     std::vector<QueryLogRecord>* accepted) {
+  const size_t n = records.size();
+  if (n == 1) {
+    Shard& shard = *shards_[ShardIndex(records[0].sql_id)];
+    {
+      std::lock_guard<std::mutex> lock(shard.queue_mu);
+      if (!StageLocked(&shard, records[0])) return 0;
+      NoteStagedLocked();
+    }
+    if (accepted != nullptr) accepted->push_back(records[0]);
+    return 1;
+  }
+  if (n == 0) return 0;
+  // Counting sort of the batch by shard (stable, so each shard sees its
+  // records in batch order), then one queue_mu hold per touched shard.
+  thread_local std::vector<uint32_t> shard_of;
+  thread_local std::vector<uint32_t> begin;
+  thread_local std::vector<uint32_t> order;
+  thread_local std::vector<uint8_t> dropped;
+  const size_t num_shards = shards_.size();
+  shard_of.resize(n);
+  begin.assign(num_shards + 1, 0);
+  for (size_t i = 0; i < n; ++i) {
+    shard_of[i] = static_cast<uint32_t>(ShardIndex(records[i].sql_id));
+    ++begin[shard_of[i] + 1];
+  }
+  for (size_t s = 0; s < num_shards; ++s) begin[s + 1] += begin[s];
+  order.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    order[begin[shard_of[i]]++] = static_cast<uint32_t>(i);
+  }
+  // The fill above advanced each begin[s] to the end of shard s's run.
+  if (accepted != nullptr) dropped.assign(n, 0);
+  size_t ok = 0;
+  size_t run_begin = 0;
+  for (size_t s = 0; s < num_shards; ++s) {
+    const size_t run_end = begin[s];
+    if (run_begin == run_end) continue;
+    Shard& shard = *shards_[s];
+    std::lock_guard<std::mutex> lock(shard.queue_mu);
+    size_t staged = 0;
+    for (size_t j = run_begin; j < run_end; ++j) {
+      if (StageLocked(&shard, records[order[j]])) {
+        ++staged;
+      } else if (accepted != nullptr) {
+        dropped[order[j]] = 1;
+      }
+    }
+    if (staged > 0) NoteStagedLocked();
+    ok += staged;
+    run_begin = run_end;
+  }
+  if (accepted != nullptr) {
+    if (ok == n) {
+      accepted->insert(accepted->end(), records.begin(), records.end());
+    } else {
+      for (size_t i = 0; i < n; ++i) {
+        if (!dropped[i]) accepted->push_back(records[i]);
+      }
+    }
+  }
+  return ok;
 }
 
 bool StreamIngestor::IngestMetrics(const PerfSample& sample) {
@@ -193,6 +260,8 @@ void StreamIngestor::FoldRecord(Shard* shard, const QueryLogRecord& record,
 }
 
 size_t StreamIngestor::Pump() {
+  std::lock_guard<std::mutex> pump_lock(pump_mu_);
+  if (!staged_since_pump_.exchange(false, std::memory_order_acq_rel)) return 0;
   // Everything one pump folds is archived in ONE AppendSpans call, chunk
   // spans in shard-index order (the same order the per-shard folds ran). A
   // concurrent LogStore::SnapshotRange therefore observes a pump
@@ -403,6 +472,7 @@ Status StreamIngestor::ImportState(const IngestorState& state) {
         shard.tail->push(record);
         ++shard.staged;
       }
+      if (shard.staged > 0) NoteStagedLocked();
     }
     shard.enqueued = static_cast<size_t>(shard_state.enqueued);
     shard.dropped_backpressure =

@@ -8,6 +8,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -166,9 +167,18 @@ class StreamIngestor {
   /// must use LogStore::SnapshotRange.
   void AttachArchive(LogStore* store) { archive_ = store; }
 
-  /// Stages one record (thread-safe). Returns false when the shard queue
-  /// was full and the record was dropped.
+  /// Stages one record (thread-safe): the one-record case of
+  /// IngestRecords. Returns false when the shard queue was full and the
+  /// record was dropped.
   bool IngestRecord(const QueryLogRecord& record);
+
+  /// Stages a batch (thread-safe), holding each touched shard's queue lock
+  /// once; a shard's records are staged in batch order, so a template's
+  /// fold order is the same as record-at-a-time ingest. Returns how many
+  /// were accepted; a full shard queue drops the rest, counted. `accepted`,
+  /// when non-null, receives the accepted records in batch order.
+  size_t IngestRecords(std::span<const QueryLogRecord> records,
+                       std::vector<QueryLogRecord>* accepted = nullptr);
 
   /// Ingests one per-second sample (thread-safe) and advances the
   /// watermark. Returns false when the sample was older than the retained
@@ -177,9 +187,17 @@ class StreamIngestor {
   bool IngestMetrics(const PerfSample& sample);
 
   /// Folds every staged record into the rings (and the archive). Safe to
-  /// call from any thread; concurrent pumps serialize per shard. Returns
-  /// the number of records folded.
+  /// call from any thread; concurrent pumps serialize, so when Pump returns
+  /// every record staged before the call is folded and archived. Returns at
+  /// once when nothing was staged since the last pump. Returns the number
+  /// of records folded.
   size_t Pump();
+
+  /// True when records were staged since the last Pump() began: the cheap
+  /// check a fleet uses to skip instances with nothing to fold.
+  bool has_staged() const {
+    return staged_since_pump_.load(std::memory_order_acquire);
+  }
 
   /// Latest metric second seen (the virtual clock), or nullopt before the
   /// first sample.
@@ -242,10 +260,11 @@ class StreamIngestor {
     void ClearCells();
   };
   struct Shard {
-    // Lock order: fold_mu before queue_mu wherever both are held (Pump and
-    // stats), and the pool mutex only ever after queue_mu/fold_mu (the
-    // pool is a leaf). IngestRecord takes only queue_mu (+ pool on chunk
-    // boundaries), so producers never wait on a fold in progress.
+    // Lock order: pump_mu_ before fold_mu before queue_mu wherever more
+    // than one is held (Pump and stats), and the pool mutex only ever after
+    // queue_mu/fold_mu (the pool is a leaf). IngestRecords takes only
+    // queue_mu (+ pool on chunk boundaries), so producers never wait on a
+    // fold in progress.
     mutable std::mutex queue_mu;
     IngestChunk* head = nullptr;
     IngestChunk* tail = nullptr;
@@ -287,6 +306,18 @@ class StreamIngestor {
   }
   /// Releases a shard's staged chunk list back to the pool (queue_mu held).
   void DropStagedLocked(Shard* shard);
+  /// Stages one record into `shard` (queue_mu held); false when the queue
+  /// is full and the record was dropped.
+  bool StageLocked(Shard* shard, const QueryLogRecord& record);
+  /// Raises staged_since_pump_ after staging (a shard's queue_mu held).
+  /// Skipping the store when the flag already reads true is safe: a pump
+  /// that cleared it before locking this shard cannot have scanned the
+  /// shard yet, and one that scanned it first happens-before this read.
+  void NoteStagedLocked() {
+    if (!staged_since_pump_.load(std::memory_order_relaxed)) {
+      staged_since_pump_.store(true, std::memory_order_release);
+    }
+  }
 
   IngestorOptions options_;
   std::shared_ptr<IngestChunkPool> pool_;
@@ -294,6 +325,11 @@ class StreamIngestor {
   /// num_shards - 1 when num_shards is a power of two, else 0 (use %).
   uint64_t shard_mask_ = 0;
   LogStore* archive_ = nullptr;
+  /// Serializes whole pumps (taken before any fold_mu).
+  std::mutex pump_mu_;
+  /// Set under a shard's queue_mu after staging; Pump() exchanges it, so a
+  /// pump with nothing staged since the last one touches no shard lock.
+  std::atomic<bool> staged_since_pump_{false};
 
   mutable std::mutex metrics_mu_;
   std::vector<MetricBucket> metric_ring_;

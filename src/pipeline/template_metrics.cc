@@ -140,34 +140,27 @@ TemplateMetricsStore TemplateMetricsStore::Resample(
   return out;
 }
 
-TemplateMetricsStore AggregateWindow(const LogStore& store, int64_t start_sec,
-                                     int64_t end_sec, int64_t interval_sec,
+TemplateMetricsStore AggregateWindow(std::span<const QueryLogRecord> records,
+                                     int64_t start_sec, int64_t end_sec,
+                                     int64_t interval_sec,
                                      util::ThreadPool* pool) {
+  const std::span<const QueryLogRecord> window =
+      ArrivalSlice(records, start_sec * 1000, end_sec * 1000);
   if (pool == nullptr || pool->num_threads() <= 1) {
     TemplateMetricsStore metrics(start_sec, end_sec, interval_sec);
-    store.ScanRange(start_sec * 1000, end_sec * 1000,
-                    [&metrics](const QueryLogRecord& record) {
-                      metrics.Accumulate(record);
-                    });
+    for (const QueryLogRecord& record : window) metrics.Accumulate(record);
     return metrics;
   }
   const size_t num_shards = static_cast<size_t>(pool->num_threads());
-  // Force the lazy sort once, outside the parallel region, so the shard
-  // scans below are pure concurrent reads.
-  (void)store.SortedRecords();
-
   std::vector<TemplateMetricsStore> shards;
   shards.reserve(num_shards);
   for (size_t s = 0; s < num_shards; ++s) {
     shards.emplace_back(start_sec, end_sec, interval_sec);
   }
   pool->ParallelFor(num_shards, [&](size_t s) {
-    store.ScanRange(start_sec * 1000, end_sec * 1000,
-                    [&, s](const QueryLogRecord& record) {
-                      if (record.sql_id % num_shards == s) {
-                        shards[s].Accumulate(record);
-                      }
-                    });
+    for (const QueryLogRecord& record : window) {
+      if (record.sql_id % num_shards == s) shards[s].Accumulate(record);
+    }
   });
 
   TemplateMetricsStore metrics(start_sec, end_sec, interval_sec);

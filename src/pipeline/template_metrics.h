@@ -2,6 +2,7 @@
 #define PINSQL_PIPELINE_TEMPLATE_METRICS_H_
 
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -110,8 +111,10 @@ class TemplateMetricsStore {
   std::unordered_map<uint64_t, uint32_t> slot_;
 };
 
-/// Aggregates the records of `store` over [start_sec, end_sec) at
-/// `interval_sec` granularity, in the archive's arrival-time scan order.
+/// Aggregates the records arriving in [start_sec, end_sec) at
+/// `interval_sec` granularity. `records` must be arrival-ordered (a
+/// LogStore's SortedRecords() or SnapshotRange()); the window is located by
+/// binary search and read in place.
 ///
 /// With a multi-threaded `pool`, templates are sharded across it (shard =
 /// sql_id modulo pool size); each shard scans the window accumulating only
@@ -119,8 +122,9 @@ class TemplateMetricsStore {
 /// per-template series sees its records in the serial scan's order, so the
 /// result is bit-identical to the serial path, which runs when `pool` is
 /// null or single-threaded.
-TemplateMetricsStore AggregateWindow(const LogStore& store, int64_t start_sec,
-                                     int64_t end_sec, int64_t interval_sec = 1,
+TemplateMetricsStore AggregateWindow(std::span<const QueryLogRecord> records,
+                                     int64_t start_sec, int64_t end_sec,
+                                     int64_t interval_sec = 1,
                                      util::ThreadPool* pool = nullptr);
 
 }  // namespace pinsql

@@ -607,6 +607,9 @@ void Server::PumpLoop() {
   // samples would move an instance's watermark more than the late grace
   // past those records, fold them, or they would be dropped.
   std::unordered_map<uint32_t, int64_t> unfolded_from;
+  // Whether a fold-only round changed the fleet since the stats cache was
+  // last rebuilt.
+  bool stats_stale = false;
 
   const auto deliver_round = [&]() -> bool {
     std::vector<StagedBatch> batches =
@@ -624,10 +627,14 @@ void Server::PumpLoop() {
           }
         }
       }
-      for (const QueryLogRecord& record : batch.records) {
-        const int64_t sec = record.arrival_ms / 1000;
-        auto [it, fresh] = unfolded_from.try_emplace(batch.instance_id, sec);
-        if (!fresh) it->second = std::min(it->second, sec);
+      if (!batch.records.empty()) {
+        int64_t oldest = std::numeric_limits<int64_t>::max();
+        for (const QueryLogRecord& record : batch.records) {
+          oldest = std::min(oldest, record.arrival_ms / 1000);
+        }
+        auto [it, fresh] =
+            unfolded_from.try_emplace(batch.instance_id, oldest);
+        if (!fresh) it->second = std::min(it->second, oldest);
       }
       max_sec = std::max(max_sec, DeliverBatch(std::move(batch)));
     }
@@ -636,21 +643,38 @@ void Server::PumpLoop() {
     // senders lag the fleet, before their own samples age them past the
     // late grace.
     std::vector<fleet::FleetOutcome> outcomes;
-    if (max_sec > advanced_to) {
-      advanced_to = max_sec;
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      stats_.advanced_to_sec = max_sec;
-    }
+    const bool moved = max_sec > advanced_to;
+    if (moved) advanced_to = max_sec;
     if (advanced_to != std::numeric_limits<int64_t>::min()) {
       outcomes = fleet_->AdvanceTo(advanced_to);
       unfolded_from.clear();
     }
-    RefreshCachesAfterAdvance(std::move(outcomes));
+    // The stats cache is rebuilt only when the fleet clock moved or
+    // outcomes completed; a fold-only round leaves it stale until the pump
+    // next goes idle.
+    if (moved || !outcomes.empty()) {
+      RefreshCachesAfterAdvance(std::move(outcomes));
+      stats_stale = false;
+    } else {
+      stats_stale = true;
+    }
+    // Published last: a reader that sees advanced_to_sec >= s finds every
+    // report the advance to s produced already cached.
+    if (moved) {
+      std::lock_guard<std::mutex> lock(stats_mu_);
+      stats_.advanced_to_sec = advanced_to;
+    }
     return true;
+  };
+  const auto refresh_if_stale = [&]() {
+    if (!stats_stale) return;
+    RefreshCachesAfterAdvance({});
+    stats_stale = false;
   };
 
   while (true) {
     if (deliver_round()) continue;
+    refresh_if_stale();
     std::unique_lock<std::mutex> lock(pump_mu_);
     if (pump_stop_) break;
     pump_cv_.wait_for(
@@ -661,20 +685,16 @@ void Server::PumpLoop() {
   // durable journals capture it) before the pump exits.
   while (deliver_round()) {
   }
+  refresh_if_stale();
 }
 
 int64_t Server::DeliverBatch(StagedBatch batch) {
-  size_t records_ok = 0;
+  std::vector<QueryLogRecord> captured;
+  const size_t records_ok = fleet_->IngestRecords(
+      batch.instance_id, batch.records,
+      options_.capture_accepted ? &captured : nullptr);
   size_t samples_ok = 0;
   int64_t max_sec = std::numeric_limits<int64_t>::min();
-  for (const QueryLogRecord& record : batch.records) {
-    if (!fleet_->IngestRecord(batch.instance_id, record)) continue;
-    ++records_ok;
-    if (options_.capture_accepted) {
-      std::lock_guard<std::mutex> lock(cache_mu_);
-      capture_[batch.instance_id].records.push_back(record);
-    }
-  }
   for (const online::PerfSample& sample : batch.samples) {
     if (!fleet_->IngestMetrics(batch.instance_id, sample)) continue;
     ++samples_ok;
@@ -691,6 +711,11 @@ int64_t Server::DeliverBatch(StagedBatch batch) {
       // the capture keeps the watermark-advancing subsequence replay
       // requires.
     }
+  }
+  if (!captured.empty()) {
+    std::lock_guard<std::mutex> lock(cache_mu_);
+    std::vector<QueryLogRecord>& records = capture_[batch.instance_id].records;
+    records.insert(records.end(), captured.begin(), captured.end());
   }
   admission_.NoteDelivered(batch.tenant, records_ok, samples_ok);
   PINSQL_OBS_COUNT("serve.pump.records_delivered", records_ok);

@@ -143,7 +143,8 @@ TEST(RunnerTest, MakeDiagnosisInputWiresEverything) {
   const AnomalyCaseData data =
       GenerateCase(SmallCase(workload::AnomalyType::kPoorSql, 10));
   const core::DiagnosisInput input = MakeDiagnosisInput(data);
-  EXPECT_EQ(input.logs, &data.logs);
+  EXPECT_EQ(input.logs.data(), data.logs.SortedRecords().data());
+  EXPECT_EQ(input.logs.size(), data.logs.size());
   EXPECT_EQ(input.history, &data.history);
   EXPECT_EQ(input.anomaly_start_sec, data.anomaly_start());
   EXPECT_EQ(input.anomaly_end_sec, data.anomaly_end());

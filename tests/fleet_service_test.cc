@@ -16,6 +16,7 @@
 #include "fleet/fleet_replay.h"
 #include "fleet/fleet_service.h"
 #include "store/env.h"
+#include "util/rng.h"
 
 namespace pinsql::fleet {
 namespace {
@@ -338,6 +339,110 @@ FleetResult RunLaggingPair(bool lagging) {
   }
   result.stats = service.stats();
   return result;
+}
+
+/// The outcome-side state of a stopped service, shaped for Fingerprint().
+FleetResult CollectResult(FleetService* service,
+                          const std::vector<uint32_t>& ids) {
+  FleetResult result;
+  result.outcomes = service->outcomes();
+  result.storms = service->storms();
+  result.neighbors = service->neighbor_verdicts();
+  for (const uint32_t id : ids) {
+    result.latencies[id] = service->detection_latencies(id);
+  }
+  result.stats = service->stats();
+  return result;
+}
+
+FleetOptions PairOptions() {
+  FleetOptions options;
+  options.scheduler.diagnose_delay_sec = 30;
+  options.scheduler.cooldown_sec = 300;
+  options.scheduler.zero_timings = true;  // wall times stay out of reports
+  return options;
+}
+
+void RegisterPairCatalog(FleetService* service) {
+  TemplateCatalogEntry entry;
+  entry.template_text = "SELECT c FROM t0 WHERE k = ?";
+  entry.kind = sqltpl::StatementKind::kSelect;
+  entry.tables = {"t0"};
+  service->RegisterTemplateFleetWide(1001, entry);
+}
+
+/// Instance 2 streams seconds 0-179 and then goes silent; instance 1
+/// streams 0-239. With `ahead`, instance 2's seconds 60-179 all arrive
+/// while the fleet clock stands at 59, so once they are folded it has
+/// nothing staged: only its unstepped detector seconds keep it dirty as
+/// the fleet clock catches up.
+FleetResult RunAheadPair(bool ahead) {
+  FleetService service({{1, 0}, {2, 1}}, PairOptions());
+  RegisterPairCatalog(&service);
+  service.Start();
+  for (int64_t sec = 0; sec < 240; ++sec) {
+    if (ahead && sec == 60) {
+      for (int64_t s = 60; s < 180; ++s) FeedSecond(&service, 2, s);
+      service.AdvanceTo(59);  // folds only: the fleet clock stays at 59
+    }
+    FeedSecond(&service, 1, sec);
+    if (sec < (ahead ? 60 : 180)) FeedSecond(&service, 2, sec);
+    service.AdvanceTo(sec);
+  }
+  service.Stop();
+  return CollectResult(&service, {1, 2});
+}
+
+TEST(FleetServiceTest, SilentInstanceAheadOfTheFleetClockIsStillStepped) {
+  const FleetResult lockstep = RunAheadPair(/*ahead=*/false);
+  ASSERT_EQ(lockstep.stats.triggers_accepted, 1u);
+  ASSERT_EQ(lockstep.outcomes.size(), 1u);
+  EXPECT_EQ(lockstep.outcomes[0].outcome.trigger.instance_id, 2u);
+
+  const FleetResult ahead = RunAheadPair(/*ahead=*/true);
+  EXPECT_EQ(ahead.stats.triggers_accepted, 1u);
+  EXPECT_EQ(ahead.stats.samples_observed, lockstep.stats.samples_observed);
+  EXPECT_EQ(ahead.latencies.at(2), lockstep.latencies.at(2));
+  EXPECT_EQ(ahead.Fingerprint(), lockstep.Fingerprint());
+}
+
+/// Six instances, instance 2 with an incident; each round feeds only a
+/// seeded subset of them (the others catch up in a later round, up to 9 s
+/// behind) and then advances the fleet to the round's second.
+FleetResult RunPartialRounds(int advance_workers) {
+  FleetOptions options = PairOptions();
+  options.advance_workers = advance_workers;
+  const std::vector<uint32_t> ids = {1, 2, 3, 4, 5, 6};
+  std::vector<FleetInstanceSpec> specs;
+  for (const uint32_t id : ids) specs.push_back({id, id / 2});
+  FleetService service(specs, options);
+  RegisterPairCatalog(&service);
+  service.Start();
+  std::vector<int64_t> next(ids.size(), 0);
+  Rng rng(17);
+  constexpr int64_t kSeconds = 240;
+  for (int64_t round = 0; round < kSeconds; ++round) {
+    for (size_t i = 0; i < ids.size(); ++i) {
+      const bool feed = round + 1 == kSeconds || round - next[i] >= 9 ||
+                        rng.UniformInt(0, 2) == 0;
+      if (!feed) continue;
+      for (; next[i] <= round; ++next[i]) {
+        FeedSecond(&service, ids[i], next[i]);
+      }
+    }
+    service.AdvanceTo(round);
+  }
+  service.Stop();
+  return CollectResult(&service, ids);
+}
+
+TEST(FleetServiceTest, PartialRoundsFingerprintInvariantAcrossAdvanceWorkers) {
+  const FleetResult serial = RunPartialRounds(1);
+  EXPECT_GE(serial.stats.triggers_accepted, 1u);
+  EXPECT_EQ(serial.stats.ingest.records_dropped_late, 0u);
+  const std::string fingerprint = serial.Fingerprint();
+  EXPECT_EQ(RunPartialRounds(2).Fingerprint(), fingerprint);
+  EXPECT_EQ(RunPartialRounds(4).Fingerprint(), fingerprint);
 }
 
 TEST(FleetServiceTest, RepeatedAdvanceKeepsALaggingInstancesTrigger) {

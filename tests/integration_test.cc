@@ -147,7 +147,7 @@ TEST(EndToEndTest, BaselinesFindHsqlButMissRsqlOnLockCase) {
   options.seed = 77;
   const eval::AnomalyCaseData data = eval::GenerateCase(options);
   const auto metrics = pinsql::AggregateWindow(
-      data.logs, data.window_start_sec, data.window_end_sec);
+      data.logs.SortedRecords(), data.window_start_sec, data.window_end_sec);
   const auto tops = baselines::RankAllTopSql(metrics, data.anomaly_start(),
                                              data.anomaly_end());
   const int rt_h = eval::HsqlRank(tops.by_response_time, data);

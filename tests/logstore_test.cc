@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "logstore/log_store.h"
+#include "util/rng.h"
 
 namespace pinsql {
 namespace {
@@ -299,6 +300,92 @@ TEST(LogStoreTest, MoveAssignedOverStoreReleasesOldRecords) {
   EXPECT_EQ(a.size(), 0u);  // NOLINT(bugprone-use-after-move)
   a.Append(Rec(1, 1.0));
   EXPECT_EQ(a.size(), 1u);
+}
+
+TEST(LogStoreTest, TailSortMergeMatchesStableSortOverSeededOps) {
+  // The lazy sort orders only the tail appended since the last sort and
+  // merges it into the sorted prefix. Against a reference that stable-sorts
+  // every live record on each scan, over random appends (in order, out of
+  // order, heavy timestamp ties), scans, trims that do and do not compact,
+  // copies and moves. examined_rows carries a unique append sequence, so
+  // tie order is checked too.
+  for (const uint64_t seed : {1u, 2u, 3u, 4u, 5u, 6u}) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    Rng rng(seed);
+    LogStore store;
+    std::vector<QueryLogRecord> model;  // live records, in append order
+    int64_t seq = 0;
+    int64_t clock_ms = 0;
+    const auto by_arrival = [](const QueryLogRecord& a,
+                               const QueryLogRecord& b) {
+      return a.arrival_ms < b.arrival_ms;
+    };
+    const auto expect_same = [&](const LogStore& s) {
+      std::vector<QueryLogRecord> want = model;
+      std::stable_sort(want.begin(), want.end(), by_arrival);
+      const std::vector<QueryLogRecord>& got = s.SortedRecords();
+      ASSERT_EQ(got.size(), want.size());
+      for (size_t i = 0; i < want.size(); ++i) {
+        ASSERT_EQ(got[i].arrival_ms, want[i].arrival_ms) << "at " << i;
+        ASSERT_EQ(got[i].examined_rows, want[i].examined_rows) << "at " << i;
+      }
+    };
+    for (int op = 0; op < 400; ++op) {
+      const int64_t kind = rng.UniformInt(0, 9);
+      if (kind <= 5) {
+        // A pump-sized run: mostly near the clock, some late, many ties.
+        const int64_t n = rng.UniformInt(1, 40);
+        const bool in_order = rng.UniformInt(0, 2) == 0;
+        std::vector<QueryLogRecord> batch;
+        for (int64_t i = 0; i < n; ++i) {
+          const int64_t arrival =
+              in_order ? clock_ms + i / 3
+                       : clock_ms - rng.UniformInt(0, 2000) / 100 * 100;
+          batch.push_back(Rec(arrival, static_cast<uint64_t>(seq % 7), 1.0,
+                              seq));
+          ++seq;
+        }
+        clock_ms += rng.UniformInt(0, 300);
+        if (rng.UniformInt(0, 1) == 0) {
+          store.AppendBatch(batch);
+        } else {
+          for (const QueryLogRecord& r : batch) store.Append(r);
+        }
+        model.insert(model.end(), batch.begin(), batch.end());
+      } else if (kind == 6) {
+        expect_same(store);
+      } else if (kind == 7) {
+        // Trim a small or a large prefix (the large one compacts).
+        const int64_t cutoff =
+            clock_ms - (rng.UniformInt(0, 1) == 0 ? rng.UniformInt(0, 400)
+                                                  : rng.UniformInt(2000, 8000));
+        std::stable_sort(model.begin(), model.end(), by_arrival);
+        const size_t dropped = static_cast<size_t>(
+            std::lower_bound(model.begin(), model.end(), cutoff,
+                             [](const QueryLogRecord& r, int64_t t) {
+                               return r.arrival_ms < t;
+                             }) -
+            model.begin());
+        model.erase(model.begin(),
+                    model.begin() + static_cast<std::ptrdiff_t>(dropped));
+        EXPECT_EQ(store.TrimBefore(cutoff), dropped);
+      } else if (kind == 8) {
+        LogStore copy(store);
+        expect_same(copy);
+        LogStore assigned;
+        assigned.Append(Rec(-5, 99));
+        assigned = store;
+        expect_same(assigned);
+        store = std::move(copy);
+      } else {
+        LogStore moved(std::move(store));
+        store = LogStore();
+        store = std::move(moved);
+      }
+      ASSERT_EQ(store.size(), model.size());
+    }
+    expect_same(store);
+  }
 }
 
 TEST(LogStoreTest, AppendSpansIsOneAtomicBatch) {

@@ -161,14 +161,16 @@ TEST(ParallelAggregatorEquivalenceTest, AggregateWindowPoolMatchesSerial) {
        RandomRecords(/*seed=*/99, /*count=*/15000, kWindow)) {
     store.Append(r);
   }
-  const TemplateMetricsStore serial = AggregateWindow(store, 10, 170);
+  const TemplateMetricsStore serial =
+      AggregateWindow(store.SortedRecords(), 10, 170);
   // threads == 0 passes no pool; 0 and 1 take the serial fallback.
   for (const int threads : {0, 1, 2, 4, 8}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     std::unique_ptr<util::ThreadPool> pool;
     if (threads > 0) pool = std::make_unique<util::ThreadPool>(threads);
     const TemplateMetricsStore parallel =
-        AggregateWindow(store, 10, 170, /*interval_sec=*/1, pool.get());
+        AggregateWindow(store.SortedRecords(), 10, 170,
+                        /*interval_sec=*/1, pool.get());
     ExpectStoresEq(serial, parallel);
   }
 }

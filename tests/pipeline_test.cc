@@ -159,7 +159,8 @@ TEST(AggregateWindowTest, CountsOnlyTheWindowsRecords) {
   for (int64_t s = 0; s < 20; ++s) {
     store.Append(Rec(1000 * s + 100, 1, 4.0, 2));
   }
-  const TemplateMetricsStore window = AggregateWindow(store, 5, 15);
+  const TemplateMetricsStore window =
+      AggregateWindow(store.SortedRecords(), 5, 15);
   const TemplateSeries* series = window.Find(1);
   ASSERT_NE(series, nullptr);
   EXPECT_DOUBLE_EQ(series->execution_count.Sum(), 10.0);

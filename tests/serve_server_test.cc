@@ -5,6 +5,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <memory>
 #include <string>
@@ -638,6 +639,48 @@ TEST(ServeServerTest, SixtyFourBitSqlIdRoundTripsThroughReports) {
   ASSERT_FALSE(rsqls->AsArray().empty());
   EXPECT_EQ(rsqls->AsArray().front().GetStringOr("sql_id", ""),
             HashToHex(kHeavy));
+}
+
+TEST(ServeServerTest, AdvancedToSecIsPublishedAfterItsReportsAreCached) {
+  // A client that waits for advanced_to_sec >= s before reading
+  // /v1/reports (as a load generator does) must find every outcome the
+  // advance to s completed: the pump publishes advanced_to_sec only after
+  // AdvanceTo returned and the read caches were refreshed.
+  Stack stack = MakeStack();
+  ASSERT_TRUE(stack.server->Start().ok());
+  const online::ReplayLog incident = SyntheticIncident();
+  size_t cursor = 0;
+  uint64_t sent = 0;
+  size_t most_reports = 0;
+  for (const online::PerfSample& sample : incident.samples) {
+    std::vector<QueryLogRecord> second_records;
+    while (cursor < incident.records.size() &&
+           incident.records[cursor].arrival_ms < (sample.sec + 1) * 1000) {
+      second_records.push_back(incident.records[cursor++]);
+    }
+    IngestOneRound(stack.server.get(),
+                   BatchBody(1, second_records, {sample}), &sent);
+    for (int spin = 0; stack.server->stats().advanced_to_sec < sample.sec;
+         ++spin) {
+      ASSERT_LT(spin, 50'000) << "never advanced to " << sample.sec;
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    const HttpResponse response = stack.server->HandleRequest(
+        AcmeRequest("GET", "/v1/reports?limit=1000"), Server::NowMs());
+    ASSERT_EQ(response.status, 200);
+    auto parsed = Json::Parse(response.body);
+    ASSERT_TRUE(parsed.ok());
+    const size_t reports = parsed.value().Find("reports")->AsArray().size();
+    // Nothing else is in flight, so the fleet's completions are final.
+    const fleet::FleetStats fleet_stats = stack.fleet->stats();
+    ASSERT_EQ(reports, fleet_stats.diagnoses_ok + fleet_stats.diagnoses_failed +
+                           fleet_stats.storm_deferred)
+        << "advanced_to_sec reached " << sample.sec
+        << " before its outcomes were readable";
+    most_reports = std::max(most_reports, reports);
+  }
+  // Not vacuous: the incident was diagnosed while streaming.
+  EXPECT_GE(most_reports, 1u);
 }
 
 TEST(ServeServerTest, StopDrainsAcceptedBatchesIntoTheFleet) {
