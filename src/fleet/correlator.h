@@ -111,7 +111,8 @@ class CrossInstanceCorrelator {
   /// Force-closes the open storm (drain path). Returns it for triage.
   std::optional<StormBatch> CloseOpenStorm(int64_t sec);
 
-  bool storm_active() const { return open_batch_.has_value(); }
+  /// The open storm batch, whose members wait for triage.
+  const std::optional<StormBatch>& open_storm() const { return open_batch_; }
   size_t storms_detected() const { return storms_detected_; }
 
  private:

@@ -110,6 +110,8 @@ class FleetScheduler {
   std::vector<Completion> Drain(int64_t now_sec);
 
   size_t pending() const { return queue_.size(); }
+  /// The queued entries, in enqueue order.
+  const std::deque<QueuedTrigger>& queue() const { return queue_; }
   const FleetSchedulerStats& stats() const { return stats_; }
   const std::vector<DispatchRecord>& dispatch_log() const {
     return dispatch_log_;

@@ -30,19 +30,12 @@ FleetService::FleetService(const std::vector<FleetInstanceSpec>& specs,
           }(),
           specs) {
   chunk_pool_ = std::make_shared<online::IngestChunkPool>();
-  instances_.reserve(specs.size());
+  cores_.reserve(specs.size());
   for (const FleetInstanceSpec& spec : specs) {
     if (index_by_id_.count(spec.instance_id) != 0) continue;  // first wins
-    index_by_id_[spec.instance_id] = instances_.size();
-    Instance instance;
-    instance.spec = spec;
-    instance.archive = std::make_unique<LogStore>();
-    instance.ingestor =
-        std::make_unique<online::StreamIngestor>(options_.ingestor, chunk_pool_);
-    instance.ingestor->AttachArchive(instance.archive.get());
-    instance.detector =
-        std::make_unique<online::OnlineAnomalyDetector>(options_.detector);
-    instances_.push_back(std::move(instance));
+    index_by_id_[spec.instance_id] = cores_.size();
+    cores_.push_back(std::make_unique<online::InstanceCore>(
+        spec.instance_id, options_.ingestor, options_.detector, chunk_pool_));
   }
   scheduler_ = std::make_unique<FleetScheduler>(
       options_.pool, [this](const QueuedTrigger& entry) {
@@ -52,10 +45,14 @@ FleetService::FleetService(const std::vector<FleetInstanceSpec>& specs,
     advance_pool_ =
         std::make_unique<util::ThreadPool>(options_.advance_workers);
   }
-  env_ = options_.env != nullptr ? options_.env : store::PosixEnv();
-  if (durable()) {
-    for (Instance& instance : instances_) {
-      instance.journal_mu = std::make_unique<std::mutex>();
+  if (!options_.data_dir.empty()) {
+    store::Env* env =
+        options_.env != nullptr ? options_.env : store::PosixEnv();
+    for (const auto& core : cores_) {
+      journals_.push_back(std::make_unique<store::InstanceJournal>(
+          env,
+          options_.data_dir + "/inst-" + std::to_string(core->instance_id()),
+          options_.wal, core.get()));
     }
   }
 }
@@ -65,18 +62,16 @@ FleetService::~FleetService() { Stop(); }
 LogStore* FleetService::archive(uint32_t instance_id) {
   auto it = index_by_id_.find(instance_id);
   if (it == index_by_id_.end()) return nullptr;
-  return instances_[it->second].archive.get();
+  return cores_[it->second]->archive();
 }
 
 void FleetService::RegisterTemplateFleetWide(uint64_t sql_id,
                                              const TemplateCatalogEntry& entry) {
-  for (Instance& instance : instances_) {
-    instance.archive->RegisterTemplate(sql_id, entry);
+  for (size_t i = 0; i < cores_.size(); ++i) {
     if (durable()) {
-      std::lock_guard<std::mutex> journal_lock(*instance.journal_mu);
-      if (instance.writer != nullptr) {
-        instance.writer->AppendTemplate(sql_id, entry);
-      }
+      journals_[i]->RegisterTemplate(sql_id, entry);
+    } else {
+      cores_[i]->archive()->RegisterTemplate(sql_id, entry);
     }
   }
 }
@@ -84,9 +79,12 @@ void FleetService::RegisterTemplateFleetWide(uint64_t sql_id,
 void FleetService::Start() {
   std::lock_guard<std::mutex> lock(advance_mu_);
   if (running_) return;
-  if (durable()) {
-    if (!journals_recovered_) RecoverJournalsLocked();
-    OpenJournalsLocked();
+  if (durable() && !journals_recovered_) RecoverJournalsLocked();
+  for (const auto& journal : journals_) {
+    // A journal whose writer cannot open leaves its instance in-memory.
+    // Re-journaling the catalog puts registrations made before Start() (or
+    // recovered from a prior incarnation) in a segment this writer owns.
+    if (journal->Open().ok()) journal->JournalCatalog();
   }
   running_ = true;
 }
@@ -97,8 +95,8 @@ void FleetService::Stop() {
   // Drain: process every instance up to its own watermark, then close the
   // open storm (if any) and run every queued diagnosis.
   int64_t drain_to = last_fleet_sec_;
-  for (Instance& instance : instances_) {
-    if (auto mark = instance.ingestor->watermark_sec(); mark.has_value()) {
+  for (const auto& core : cores_) {
+    if (auto mark = core->ingestor().watermark_sec(); mark.has_value()) {
       drain_to = std::max(drain_to, *mark);
     }
   }
@@ -109,19 +107,7 @@ void FleetService::Stop() {
   }
   std::vector<FleetOutcome> completed;
   AppendCompletions(scheduler_->Drain(last_fleet_sec_), &completed);
-  if (durable()) {
-    for (Instance& instance : instances_) {
-      std::lock_guard<std::mutex> journal_lock(*instance.journal_mu);
-      if (instance.writer == nullptr) continue;
-      if (!instance.pending.empty()) {
-        instance.writer->AppendRecordBatch(instance.pending);
-        instance.pending.clear();
-      }
-      instance.next_seq = instance.writer->position().segment_seq + 1;
-      instance.writer->Close();
-      instance.writer.reset();
-    }
-  }
+  for (const auto& journal : journals_) journal->Close();
   running_ = false;
 }
 
@@ -135,49 +121,18 @@ size_t FleetService::IngestRecords(uint32_t instance_id,
                                    std::vector<QueryLogRecord>* accepted) {
   auto it = index_by_id_.find(instance_id);
   if (it == index_by_id_.end()) return 0;
-  Instance& instance = instances_[it->second];
-  if (!durable()) return instance.ingestor->IngestRecords(records, accepted);
-  // The inner ingest and the journal buffer form one atomic step, so the
-  // journal replays in exactly the order the rings accepted.
-  std::lock_guard<std::mutex> journal_lock(*instance.journal_mu);
-  // Buffer for the journal only while a writer exists to drain it: an
-  // instance whose writer failed to open runs in-memory, and buffering
-  // without a flusher would grow `pending` without bound.
-  if (instance.writer == nullptr) {
-    return instance.ingestor->IngestRecords(records, accepted);
+  if (!durable()) {
+    return cores_[it->second]->ingestor().IngestRecords(records, accepted);
   }
-  const size_t before = instance.pending.size();
-  const size_t ok =
-      instance.ingestor->IngestRecords(records, &instance.pending);
-  if (accepted != nullptr) {
-    accepted->insert(accepted->end(), instance.pending.begin() + before,
-                     instance.pending.end());
-  }
-  return ok;
+  return journals_[it->second]->IngestRecords(records, accepted);
 }
 
 bool FleetService::IngestMetrics(uint32_t instance_id,
                                  const online::PerfSample& sample) {
   auto it = index_by_id_.find(instance_id);
   if (it == index_by_id_.end()) return false;
-  Instance& instance = instances_[it->second];
-  if (!durable()) return instance.ingestor->IngestMetrics(sample);
-  std::lock_guard<std::mutex> journal_lock(*instance.journal_mu);
-  const bool accepted = instance.ingestor->IngestMetrics(sample);
-  if (accepted && instance.writer != nullptr) {
-    if (!instance.pending.empty()) {
-      // Degraded on append failure: the records already sit in the rings,
-      // and re-journaling them would duplicate them on replay.
-      instance.writer->AppendRecordBatch(instance.pending);
-      instance.pending.clear();
-    }
-    instance.writer->AppendSample(sample);
-  }
-  return accepted;
-}
-
-std::string FleetService::InstanceDir(uint32_t instance_id) const {
-  return options_.data_dir + "/inst-" + std::to_string(instance_id);
+  if (!durable()) return cores_[it->second]->ingestor().IngestMetrics(sample);
+  return journals_[it->second]->IngestMetrics(sample);
 }
 
 void FleetService::RecoverJournalsLocked() {
@@ -185,81 +140,58 @@ void FleetService::RecoverJournalsLocked() {
   recovery_.attempted = true;
   const auto started = std::chrono::steady_clock::now();
 
-  // A journal groups records with the sample that closed their second:
-  // every record-batch frame belongs to the next sample frame after it.
-  struct Batch {
-    std::vector<QueryLogRecord> records;
-    std::optional<online::PerfSample> sample;
-  };
-  std::vector<std::deque<Batch>> batches(instances_.size());
+  // Every instance's frames in journal order; a record-batch frame belongs
+  // to the next sample frame after it.
+  std::vector<std::deque<store::WalFrame>> frames(journals_.size());
   std::set<int64_t> sample_secs;
-
-  for (size_t i = 0; i < instances_.size(); ++i) {
-    Instance& instance = instances_[i];
-    const std::string dir = InstanceDir(instance.spec.instance_id);
-    env_->CreateDirs(dir);
+  for (size_t i = 0; i < journals_.size(); ++i) {
     store::WalScanStats scan;
-    Batch open;
-    store::ScanWal(
-        env_, dir, options_.wal, store::WalPosition{0, 0},
+    journals_[i]->Scan(
+        store::WalPosition{0, 0},
         [&](const store::WalFrame& frame) {
-          switch (frame.kind) {
-            case store::FrameKind::kRecordBatch:
-              open.records.insert(open.records.end(), frame.records.begin(),
-                                  frame.records.end());
-              break;
-            case store::FrameKind::kSample:
-              open.sample = frame.sample;
-              sample_secs.insert(frame.sample.sec);
-              batches[i].push_back(std::move(open));
-              open = Batch{};
-              break;
-            case store::FrameKind::kTemplate:
-              instance.archive->RegisterTemplate(frame.template_id,
-                                                 frame.template_entry);
-              ++recovery_.templates;
-              break;
-            case store::FrameKind::kRepairEvent:
-              break;  // the fleet service is diagnose-only
+          if (frame.kind == store::FrameKind::kSample) {
+            sample_secs.insert(frame.sample.sec);
           }
+          frames[i].push_back(frame);
         },
         &scan);
-    if (!open.records.empty()) batches[i].push_back(std::move(open));
     if (scan.last_seq > 0) ++recovery_.instances_with_wal;
-    instance.next_seq = scan.last_seq + 1;
     recovery_.frames_valid += scan.frames_valid;
     recovery_.frames_corrupt += scan.frames_corrupt;
     recovery_.frames_malformed += scan.frames_malformed;
     recovery_.frames_time_rejected += scan.frames_time_rejected;
     recovery_.records += scan.records;
     recovery_.samples += scan.samples;
+    recovery_.templates += scan.templates;
     recovery_.torn_tail_bytes_truncated += scan.torn_tail_bytes_truncated;
   }
 
   // Replay with the canonical per-second discipline: for every second that
-  // closed a sample anywhere in the fleet, re-ingest each instance's
-  // batches due by then, then advance the fleet clock — the same total
-  // order a live producers-then-AdvanceTo loop establishes, so the
-  // recovered outcomes fingerprint byte-identically.
+  // closed a sample anywhere in the fleet, apply each instance's frames
+  // through its samples due by then, then advance the fleet clock — the
+  // same total order a live producers-then-AdvanceTo loop establishes, so
+  // the recovered outcomes fingerprint byte-identically.
+  const auto is_sample = [](const store::WalFrame& frame) {
+    return frame.kind == store::FrameKind::kSample;
+  };
   for (int64_t sec : sample_secs) {
-    for (size_t i = 0; i < instances_.size(); ++i) {
-      Instance& instance = instances_[i];
-      while (!batches[i].empty() && batches[i].front().sample.has_value() &&
-             batches[i].front().sample->sec <= sec) {
-        Batch batch = std::move(batches[i].front());
-        batches[i].pop_front();
-        instance.ingestor->IngestRecords(batch.records);
-        instance.ingestor->IngestMetrics(*batch.sample);
+    for (size_t i = 0; i < journals_.size(); ++i) {
+      std::deque<store::WalFrame>& queue = frames[i];
+      for (auto sample = std::find_if(queue.begin(), queue.end(), is_sample);
+           sample != queue.end() && sample->sample.sec <= sec;
+           sample = std::find_if(queue.begin(), queue.end(), is_sample)) {
+        for (auto it = queue.begin(); it != sample + 1; ++it) {
+          journals_[i]->Apply(*it);
+        }
+        queue.erase(queue.begin(), sample + 1);
       }
     }
     AdvanceToLocked(sec);
   }
-  // Tail batches (records journaled after the last sample) stay staged,
+  // Tail frames (records journaled after the last sample) stay staged,
   // exactly as they were before the crash.
-  for (size_t i = 0; i < instances_.size(); ++i) {
-    for (const Batch& batch : batches[i]) {
-      instances_[i].ingestor->IngestRecords(batch.records);
-    }
+  for (size_t i = 0; i < journals_.size(); ++i) {
+    for (const store::WalFrame& frame : frames[i]) journals_[i]->Apply(frame);
   }
 
   recovery_.recovery_ms = std::chrono::duration<double, std::milli>(
@@ -267,31 +199,6 @@ void FleetService::RecoverJournalsLocked() {
                               .count();
   PINSQL_OBS_GAUGE_SET("store.recovery_ms",
                        static_cast<int64_t>(recovery_.recovery_ms));
-}
-
-void FleetService::OpenJournalsLocked() {
-  for (Instance& instance : instances_) {
-    std::lock_guard<std::mutex> journal_lock(*instance.journal_mu);
-    if (instance.writer != nullptr) continue;
-    const std::string dir = InstanceDir(instance.spec.instance_id);
-    env_->CreateDirs(dir);
-    auto writer =
-        store::WalWriter::Open(env_, dir, options_.wal,
-                               std::max<uint64_t>(instance.next_seq, 1));
-    if (!writer.ok()) continue;  // degraded: this instance runs in-memory
-    instance.writer = std::move(writer).value();
-    // Re-journal the catalog so registrations made before Start() (or
-    // recovered from a prior incarnation) live in a segment this
-    // incarnation wrote. Registration is idempotent on replay.
-    std::vector<std::pair<uint64_t, TemplateCatalogEntry>> catalog(
-        instance.archive->catalog().begin(),
-        instance.archive->catalog().end());
-    std::sort(catalog.begin(), catalog.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    for (const auto& [sql_id, entry] : catalog) {
-      instance.writer->AppendTemplate(sql_id, entry);
-    }
-  }
 }
 
 std::vector<FleetOutcome> FleetService::AdvanceTo(int64_t fleet_sec) {
@@ -306,12 +213,12 @@ void FleetService::Fold() {
 }
 
 void FleetService::FoldLocked() {
-  std::vector<Instance*> dirty;
-  for (Instance& instance : instances_) {
-    if (instance.ingestor->has_staged()) dirty.push_back(&instance);
+  std::vector<online::InstanceCore*> dirty;
+  for (const auto& core : cores_) {
+    if (core->ingestor().has_staged()) dirty.push_back(core.get());
   }
   util::ParallelFor(FanOutPool(dirty.size()), dirty.size(),
-                    [&](size_t d) { dirty[d]->ingestor->Pump(); });
+                    [&](size_t d) { dirty[d]->ingestor().Pump(); });
 }
 
 util::ThreadPool* FleetService::FanOutPool(size_t staged) const {
@@ -323,40 +230,23 @@ util::ThreadPool* FleetService::FanOutPool(size_t staged) const {
              : nullptr;
 }
 
-bool FleetService::Dirty(const Instance& instance, int64_t fleet_sec) {
-  if (instance.ingestor->has_staged()) return true;
-  const auto mark = instance.ingestor->watermark_sec();
-  if (!mark.has_value()) return false;
-  // ProcessInstance's step range, [from, to], is non-empty.
-  const int64_t from =
-      instance.processed_any ? instance.last_processed_sec + 1 : *mark;
-  return from <= std::min(*mark, fleet_sec);
-}
-
-void FleetService::ProcessInstance(Instance* instance, int64_t fleet_sec,
-                                   std::vector<SecondEvent>* events) {
-  instance->ingestor->Pump();
-  const auto mark = instance->ingestor->watermark_sec();
-  if (!mark.has_value()) return;
-  const int64_t to = std::min(*mark, fleet_sec);
-  const int64_t from =
-      instance->processed_any ? instance->last_processed_sec + 1 : *mark;
-  for (int64_t sec = from; sec <= to; ++sec) {
-    double value = std::numeric_limits<double>::quiet_NaN();
-    if (auto sample = instance->ingestor->SampleAt(sec); sample.has_value()) {
-      value = sample->active_session;
-    }
-    SecondEvent event;
-    event.sec = sec;
-    event.trigger = instance->detector->Observe(sec, value);
-    if (event.trigger.has_value()) {
-      event.trigger->instance_id = instance->spec.instance_id;
-    }
-    event.in_run = instance->detector->in_run();
-    events->push_back(event);
-    instance->last_processed_sec = sec;
-    instance->processed_any = true;
+std::vector<std::optional<int64_t>> FleetService::OpenWindowFloorsLocked()
+    const {
+  std::vector<std::optional<int64_t>> floors(cores_.size());
+  const auto cover = [&](const online::AnomalyTrigger& trigger) {
+    const auto it = index_by_id_.find(trigger.instance_id);
+    if (it == index_by_id_.end()) return;
+    // The start of the window RunWindowedDiagnosis will snapshot.
+    const int64_t t0_ms =
+        (trigger.onset_sec - options_.scheduler.diagnoser.delta_s_sec) * 1000;
+    std::optional<int64_t>& floor = floors[it->second];
+    if (!floor.has_value() || t0_ms < *floor) floor = t0_ms;
+  };
+  for (const QueuedTrigger& entry : scheduler_->queue()) cover(entry.trigger);
+  if (const auto& storm = correlator_.open_storm(); storm.has_value()) {
+    for (const StormMember& member : storm->members) cover(member.trigger);
   }
+  return floors;
 }
 
 void FleetService::RouteAcceptedTrigger(const online::AnomalyTrigger& trigger) {
@@ -434,10 +324,11 @@ void FleetService::AppendCompletions(
 }
 
 online::DiagnosisOutcome FleetService::RunOne(const QueuedTrigger& entry) {
-  Instance& instance = instances_[index_by_id_.at(entry.trigger.instance_id)];
+  online::InstanceCore& core =
+      *cores_[index_by_id_.at(entry.trigger.instance_id)];
   online::WindowedDiagnosisContext ctx;
-  ctx.ingestor = instance.ingestor.get();
-  ctx.archive = instance.archive.get();
+  ctx.ingestor = &core.ingestor();
+  ctx.archive = core.archive();
   ctx.options = &options_.scheduler;
   ctx.supervisor = nullptr;  // fleet service is diagnose-only
   ctx.history = &empty_history_;
@@ -463,20 +354,32 @@ std::vector<FleetOutcome> FleetService::AdvanceToLocked(int64_t fleet_sec) {
     return completed;
   }
 
-  // Parallel per-instance step over the dirty instances: pump, sample,
-  // detect — into disjoint per-instance slots, so the merge below sees
-  // identical events at any advance_workers. A clean instance would pump
-  // nothing and step no second, so skipping it changes no event.
-  std::vector<std::vector<SecondEvent>> events(instances_.size());
+  // Parallel per-instance step over the dirty instances: pump, then step
+  // the core through its unprocessed seconds up to fleet_sec — into
+  // disjoint per-instance slots, so the merge below sees identical steps
+  // at any advance_workers. A clean instance would pump nothing and step
+  // no second, so skipping it changes no step. The retention floors are
+  // read before the fan-out: the pool and the correlator stay untouched
+  // until the merge.
+  std::vector<std::vector<online::SecondStep>> steps(cores_.size());
   std::vector<size_t> dirty;
   size_t staged = 0;
-  for (size_t i = 0; i < instances_.size(); ++i) {
-    if (instances_[i].ingestor->has_staged()) ++staged;
-    if (Dirty(instances_[i], fleet_sec)) dirty.push_back(i);
+  for (size_t i = 0; i < cores_.size(); ++i) {
+    const bool has_staged = cores_[i]->ingestor().has_staged();
+    if (has_staged) ++staged;
+    if (has_staged || !cores_[i]->Unprocessed(fleet_sec).empty()) {
+      dirty.push_back(i);
+    }
   }
+  const std::vector<std::optional<int64_t>> floors = OpenWindowFloorsLocked();
   util::ParallelFor(FanOutPool(staged), dirty.size(), [&](size_t d) {
     const size_t i = dirty[d];
-    ProcessInstance(&instances_[i], fleet_sec, &events[i]);
+    online::InstanceCore& core = *cores_[i];
+    core.ingestor().Pump();
+    const online::SecondRange range = core.Unprocessed(fleet_sec);
+    for (int64_t sec = range.first; sec <= range.last; ++sec) {
+      steps[i].push_back(core.Step(sec, floors[i]));
+    }
   });
 
   int64_t tick_from =
@@ -484,9 +387,9 @@ std::vector<FleetOutcome> FleetService::AdvanceToLocked(int64_t fleet_sec) {
   if (!processed_fleet_any_) {
     // First advance: start the fleet clock at the earliest instance event
     // so a lagging instance's seconds are not skipped.
-    for (const auto& instance_events : events) {
-      if (!instance_events.empty()) {
-        tick_from = std::min(tick_from, instance_events.front().sec);
+    for (const auto& instance_steps : steps) {
+      if (!instance_steps.empty()) {
+        tick_from = std::min(tick_from, instance_steps.front().sec);
       }
     }
   }
@@ -494,28 +397,28 @@ std::vector<FleetOutcome> FleetService::AdvanceToLocked(int64_t fleet_sec) {
 
   // Sequential merge in (second, instance) order: dedup, correlate, route,
   // then the fleet-level ticks.
-  std::vector<size_t> cursors(instances_.size(), 0);
+  std::vector<size_t> cursors(cores_.size(), 0);
   for (int64_t sec = tick_from; sec <= fleet_sec; ++sec) {
     for (const size_t i : dirty) {
-      auto& instance_events = events[i];
+      const auto& instance_steps = steps[i];
       auto& cursor = cursors[i];
       // `<=`: an instance second that predates the fleet clock (a late
       // joiner) is merged at the first tick that sees it.
-      while (cursor < instance_events.size() &&
-             instance_events[cursor].sec <= sec) {
-        const SecondEvent& event = instance_events[cursor];
-        if (event.trigger.has_value()) {
+      while (cursor < instance_steps.size() &&
+             instance_steps[cursor].sec <= sec) {
+        const online::SecondStep& step = instance_steps[cursor];
+        if (step.trigger.has_value()) {
           ++triggers_confirmed_;
-          if (deduper_.Accept(*event.trigger)) {
+          if (deduper_.Accept(*step.trigger)) {
             ++triggers_accepted_;
-            RouteAcceptedTrigger(*event.trigger);
+            RouteAcceptedTrigger(*step.trigger);
           } else {
             ++triggers_suppressed_;
             PINSQL_OBS_COUNT("fleet.triggers_suppressed", 1);
           }
         }
-        if (event.in_run) {
-          deduper_.NoteActivity(instances_[i].spec.instance_id, event.sec);
+        if (step.in_run) {
+          deduper_.NoteActivity(cores_[i]->instance_id(), step.sec);
         }
         ++cursor;
       }
@@ -563,15 +466,15 @@ std::vector<int64_t> FleetService::detection_latencies(
   std::lock_guard<std::mutex> lock(advance_mu_);
   auto it = index_by_id_.find(instance_id);
   if (it == index_by_id_.end()) return {};
-  return instances_[it->second].detector->latencies_sec();
+  return cores_[it->second]->detector().latencies_sec();
 }
 
 FleetStats FleetService::stats() const {
   std::lock_guard<std::mutex> lock(advance_mu_);
   FleetStats stats;
-  stats.instances = instances_.size();
-  for (const Instance& instance : instances_) {
-    const online::IngestStats cut = instance.ingestor->stats();
+  stats.instances = cores_.size();
+  for (const auto& core : cores_) {
+    const online::IngestStats cut = core->ingestor().stats();
     stats.ingest.records_enqueued += cut.records_enqueued;
     stats.ingest.records_folded += cut.records_folded;
     stats.ingest.records_dropped_backpressure +=
@@ -580,11 +483,10 @@ FleetStats FleetService::stats() const {
     stats.ingest.records_staged += cut.records_staged;
     stats.ingest.metric_samples += cut.metric_samples;
     stats.ingest.metric_samples_dropped += cut.metric_samples_dropped;
-    stats.samples_observed += instance.detector->stats().samples;
-    if (instance.journal_mu != nullptr) {
-      std::lock_guard<std::mutex> journal_lock(*instance.journal_mu);
-      stats.pending_journal_records += instance.pending.size();
-    }
+    stats.samples_observed += core->detector().stats().samples;
+  }
+  for (const auto& journal : journals_) {
+    stats.pending_journal_records += journal->pending_records();
   }
   stats.triggers_confirmed = triggers_confirmed_;
   stats.triggers_accepted = triggers_accepted_;

@@ -5,17 +5,21 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "fleet/correlator.h"
 #include "fleet/fleet_scheduler.h"
 #include "logstore/log_store.h"
+#include "online/instance_core.h"
 #include "online/online_detector.h"
 #include "online/scheduler.h"
 #include "online/stream_ingestor.h"
 #include "repair/rule_engine.h"
 #include "store/env.h"
+#include "store/instance_journal.h"
 #include "store/wal.h"
 #include "util/thread_pool.h"
 
@@ -107,10 +111,11 @@ struct FleetStats {
 };
 
 /// Hundreds-to-thousands of simulated instances behind one sharded
-/// service: per-instance StreamIngestor + streaming detector multiplexed
-/// over a fixed advance-worker set, confirmed triggers deduped per
-/// instance and fed through the cross-instance correlator into the
-/// bounded diagnoser pool.
+/// service: one online::InstanceCore per instance (ingestor, streaming
+/// detector, archive with the 3-day retention sweep) multiplexed over a
+/// fixed advance-worker set, plus one store::InstanceJournal per instance
+/// when durable. Confirmed triggers are deduped per instance and fed
+/// through the cross-instance correlator into the bounded diagnoser pool.
 ///
 /// Clock model: every instance keeps its own virtual clock (its metric
 /// watermark); AdvanceTo(fleet_sec) is the fleet watermark — it processes
@@ -138,7 +143,7 @@ class FleetService {
   FleetService(const FleetService&) = delete;
   FleetService& operator=(const FleetService&) = delete;
 
-  size_t num_instances() const { return instances_.size(); }
+  size_t num_instances() const { return cores_.size(); }
 
   /// The per-instance archive (nullptr for an unknown id). Register
   /// templates before streaming starts.
@@ -215,47 +220,16 @@ class FleetService {
   const FleetRecoveryStats& recovery() const { return recovery_; }
 
  private:
-  struct Instance {
-    FleetInstanceSpec spec;
-    std::unique_ptr<LogStore> archive;
-    std::unique_ptr<online::StreamIngestor> ingestor;
-    std::unique_ptr<online::OnlineAnomalyDetector> detector;
-    bool processed_any = false;
-    int64_t last_processed_sec = 0;
-    /// Durable journal (null when the fleet runs in-memory, or between
-    /// Stop() and the next Start()). journal_mu orders the inner ingest
-    /// and the journal append as one atomic step, so the journal replays
-    /// in exactly the ingest order the rings saw.
-    std::unique_ptr<std::mutex> journal_mu;
-    std::vector<QueryLogRecord> pending;
-    std::unique_ptr<store::WalWriter> writer;
-    uint64_t next_seq = 1;
-  };
-  /// What one instance-second produced, recorded by the parallel advance
-  /// step and merged sequentially in instance order.
-  struct SecondEvent {
-    int64_t sec = 0;
-    std::optional<online::AnomalyTrigger> trigger;
-    bool in_run = false;
-  };
-
   std::vector<FleetOutcome> AdvanceToLocked(int64_t fleet_sec);
   void FoldLocked();
-  bool durable() const { return !options_.data_dir.empty(); }
-  std::string InstanceDir(uint32_t instance_id) const;
+  bool durable() const { return !journals_.empty(); }
   /// First Start() only: replays every instance's WAL through the normal
   /// ingest path with the canonical per-second discipline.
   void RecoverJournalsLocked();
-  /// Opens (or reopens after Stop) each instance's writer and re-journals
-  /// the current catalog so template registrations made before Start()
-  /// survive a crash.
-  void OpenJournalsLocked();
-  void ProcessInstance(Instance* instance, int64_t fleet_sec,
-                       std::vector<SecondEvent>* events);
-  /// Whether AdvanceTo(fleet_sec) has work for `instance`: staged records
-  /// to fold, or watermark seconds up to fleet_sec its detector has not
-  /// stepped.
-  static bool Dirty(const Instance& instance, int64_t fleet_sec);
+  /// Per instance (parallel to cores_), the oldest millisecond a queued or
+  /// storm-held diagnosis still needs from its archive: the floor below
+  /// which that instance's retention sweep must not trim.
+  std::vector<std::optional<int64_t>> OpenWindowFloorsLocked() const;
   /// The pool a fan-out over the dirty instances runs on: the advance pool
   /// when more than advance_workers of them (`staged`) have records to
   /// fold, else none (inline).
@@ -271,7 +245,10 @@ class FleetService {
   /// pooled fleet-wide (slabs recycle across instances) instead of
   /// multiplied by the instance count.
   std::shared_ptr<online::IngestChunkPool> chunk_pool_;
-  std::vector<Instance> instances_;
+  std::vector<std::unique_ptr<online::InstanceCore>> cores_;
+  /// Parallel to cores_ when the fleet is durable, empty in-memory (so
+  /// in-memory ingest goes straight to the core, taking no journal lock).
+  std::vector<std::unique_ptr<store::InstanceJournal>> journals_;
   std::map<uint32_t, size_t> index_by_id_;
 
   online::TriggerDeduper deduper_;
@@ -298,7 +275,6 @@ class FleetService {
   std::vector<StormBatch> storms_;
   std::vector<NoisyNeighborVerdict> verdicts_;
 
-  store::Env* env_ = nullptr;
   bool journals_recovered_ = false;
   FleetRecoveryStats recovery_;
 };

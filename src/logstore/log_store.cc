@@ -1,6 +1,7 @@
 #include "logstore/log_store.h"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -28,11 +29,7 @@ LogStore::LogStore(const LogStore& other) {
 LogStore& LogStore::operator=(const LogStore& other) {
   if (this == &other) return *this;
   std::scoped_lock lock(sort_mu_, other.sort_mu_);
-  arena_.Clear();
-  index_.clear();
-  head_ = 0;
-  sorted_end_ = 0;
-  materialized_valid_ = false;
+  ClearLocked();
   for (const IndexEntry* e = other.IndexBegin(); e != other.IndexEnd(); ++e) {
     AppendLocked(other.Record(*e));
   }
@@ -46,6 +43,7 @@ LogStore::LogStore(LogStore&& other) noexcept {
   index_ = std::move(other.index_);
   head_ = other.head_;
   sorted_end_ = other.sorted_end_;
+  tail_min_ms_ = other.tail_min_ms_;
   materialized_ = std::move(other.materialized_);
   materialized_valid_ = other.materialized_valid_;
   catalog_ = std::move(other.catalog_);
@@ -54,6 +52,7 @@ LogStore::LogStore(LogStore&& other) noexcept {
   other.index_.clear();
   other.head_ = 0;
   other.sorted_end_ = 0;
+  other.tail_min_ms_ = std::numeric_limits<int64_t>::max();
   other.materialized_.clear();
   other.materialized_valid_ = false;
   other.catalog_.clear();
@@ -66,12 +65,14 @@ LogStore& LogStore::operator=(LogStore&& other) noexcept {
   index_ = std::move(other.index_);
   head_ = other.head_;
   sorted_end_ = other.sorted_end_;
+  tail_min_ms_ = other.tail_min_ms_;
   materialized_ = std::move(other.materialized_);
   materialized_valid_ = other.materialized_valid_;
   catalog_ = std::move(other.catalog_);
   other.index_.clear();
   other.head_ = 0;
   other.sorted_end_ = 0;
+  other.tail_min_ms_ = std::numeric_limits<int64_t>::max();
   other.materialized_.clear();
   other.materialized_valid_ = false;
   other.catalog_.clear();
@@ -86,6 +87,8 @@ void LogStore::AppendLocked(const QueryLogRecord& record) {
       (index_.size() == head_ ||
        record.arrival_ms >= index_.back().arrival_ms)) {
     ++sorted_end_;
+  } else {
+    tail_min_ms_ = std::min(tail_min_ms_, record.arrival_ms);
   }
   index_.push_back(IndexEntry{record.arrival_ms,
                               arena_.Create<QueryLogRecord>(record)});
@@ -142,6 +145,7 @@ void LogStore::EnsureSortedLocked() const {
   std::inplace_merge(index_.begin() + static_cast<ptrdiff_t>(head_), mid,
                      index_.end(), by_arrival);
   sorted_end_ = index_.size();
+  tail_min_ms_ = std::numeric_limits<int64_t>::max();
 }
 
 void LogStore::EnsureSorted() const {
@@ -200,6 +204,14 @@ std::vector<QueryLogRecord> LogStore::SnapshotRange(int64_t t0_ms,
 }
 
 size_t LogStore::TrimBeforeLocked(int64_t cutoff_ms) {
+  // Nothing older than the cutoff: return before sorting. Most retention
+  // sweeps find nothing expired, and the sort would merge the unsorted
+  // tail across the whole live index.
+  const int64_t oldest_ms = std::min(
+      sorted_end_ > head_ ? index_[head_].arrival_ms
+                          : std::numeric_limits<int64_t>::max(),
+      tail_min_ms_);
+  if (cutoff_ms <= oldest_ms) return 0;
   EnsureSortedLocked();
   const IndexEntry* lo =
       std::lower_bound(IndexBegin(), IndexEnd(), cutoff_ms,
@@ -242,13 +254,18 @@ size_t LogStore::TrimExpiredKeeping(int64_t now_ms, int64_t keep_from_ms,
   return TrimBefore(std::min(now_ms - retention_ms, keep_from_ms));
 }
 
-void LogStore::ReplaceRecords(std::vector<QueryLogRecord> records) {
-  std::lock_guard<std::mutex> lock(sort_mu_);
+void LogStore::ClearLocked() {
   arena_.Clear();
   index_.clear();
   head_ = 0;
   sorted_end_ = 0;
+  tail_min_ms_ = std::numeric_limits<int64_t>::max();
   materialized_valid_ = false;
+}
+
+void LogStore::ReplaceRecords(std::vector<QueryLogRecord> records) {
+  std::lock_guard<std::mutex> lock(sort_mu_);
+  ClearLocked();
   for (const QueryLogRecord& record : records) AppendLocked(record);
 }
 

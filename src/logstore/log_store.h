@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <mutex>
 #include <span>
 #include <string>
@@ -171,6 +172,8 @@ class LogStore {
   void EnsureSortedLocked() const;
   /// TrimBefore with the mutex already held.
   size_t TrimBeforeLocked(int64_t cutoff_ms);
+  /// Empties the store (arena, index, sort state) with the mutex held.
+  void ClearLocked();
   /// Append one record with the mutex already held.
   void AppendLocked(const QueryLogRecord& record);
   /// Live (post-head) index range.
@@ -190,6 +193,10 @@ class LogStore {
   /// order and index_[sorted_end_ ..) is the tail appended since the last
   /// sort. Fully sorted iff sorted_end_ == index_.size().
   mutable size_t sorted_end_ = 0;
+  /// Oldest arrival in the unsorted tail (INT64_MAX when the tail is
+  /// empty): with the sorted prefix's front it bounds the oldest live
+  /// record, so a trim with nothing to drop skips the sort.
+  mutable int64_t tail_min_ms_ = std::numeric_limits<int64_t>::max();
   mutable std::vector<QueryLogRecord> materialized_;
   mutable bool materialized_valid_ = false;
   std::unordered_map<uint64_t, TemplateCatalogEntry> catalog_;

@@ -1,10 +1,5 @@
 #include "online/service.h"
 
-#include <algorithm>
-#include <chrono>
-#include <cmath>
-#include <limits>
-
 #include "obs/metrics.h"
 
 namespace pinsql::online {
@@ -12,13 +7,9 @@ namespace pinsql::online {
 OnlineService::OnlineService(const ServiceOptions& options,
                              repair::RepairSupervisor* supervisor,
                              const core::HistoryProvider* history)
-    : options_(options),
-      ingestor_(options.ingestor),
-      detector_(options.detector),
-      scheduler_(&ingestor_, &archive_, options.scheduler, supervisor,
-                 history) {
-  ingestor_.AttachArchive(&archive_);
-}
+    : core_(/*instance_id=*/0, options.ingestor, options.detector),
+      scheduler_(&core_.ingestor(), core_.archive(), options.scheduler,
+                 supervisor, history) {}
 
 OnlineService::~OnlineService() { Stop(); }
 
@@ -26,17 +17,8 @@ void OnlineService::Start() {
   std::lock_guard<std::mutex> lock(advance_mu_);
   if (running_) return;
   running_ = true;
-  {
-    std::unique_lock<std::shared_mutex> gate(ingest_gate_);
-    accepting_ = true;
-  }
-  if (options_.background_pump) {
-    {
-      std::lock_guard<std::mutex> pump_lock(pump_mu_);
-      pump_stop_ = false;
-    }
-    pump_thread_ = std::thread(&OnlineService::PumpLoop, this);
-  }
+  std::unique_lock<std::shared_mutex> gate(ingest_gate_);
+  accepting_ = true;
 }
 
 void OnlineService::Stop() {
@@ -53,38 +35,14 @@ void OnlineService::Stop() {
     std::unique_lock<std::shared_mutex> gate(ingest_gate_);
     accepting_ = false;
   }
-  if (pump_thread_.joinable()) {
-    {
-      std::lock_guard<std::mutex> pump_lock(pump_mu_);
-      pump_stop_ = true;
-    }
-    pump_cv_.notify_all();
-    pump_thread_.join();
-  }
   std::lock_guard<std::mutex> lock(advance_mu_);
   // Drain: fold everything still staged, process every watermark second,
   // then force the queued diagnoses that were not yet due.
-  ingestor_.Pump();
+  core_.ingestor().Pump();
   std::vector<DiagnosisOutcome> completed;
-  if (auto mark = ingestor_.watermark_sec(); mark.has_value()) {
-    const int64_t from =
-        processed_any_ ? last_processed_sec_ + 1 : *mark;
-    for (int64_t sec = from; sec <= *mark; ++sec) {
-      ProcessSecond(sec, &completed);
-    }
-  }
+  ProcessPendingSeconds(&completed);
   scheduler_.Drain();
   running_ = false;
-}
-
-void OnlineService::PumpLoop() {
-  std::unique_lock<std::mutex> lock(pump_mu_);
-  while (!pump_stop_) {
-    lock.unlock();
-    ingestor_.Pump();
-    lock.lock();
-    pump_cv_.wait_for(lock, std::chrono::milliseconds(1));
-  }
 }
 
 bool OnlineService::IngestRecord(const QueryLogRecord& record) {
@@ -94,7 +52,7 @@ bool OnlineService::IngestRecord(const QueryLogRecord& record) {
     PINSQL_OBS_COUNT("online.service.records_rejected_stopped", 1);
     return false;
   }
-  return ingestor_.IngestRecord(record);
+  return core_.ingestor().IngestRecord(record);
 }
 
 bool OnlineService::IngestMetrics(const PerfSample& sample) {
@@ -104,7 +62,7 @@ bool OnlineService::IngestMetrics(const PerfSample& sample) {
     PINSQL_OBS_COUNT("online.service.samples_rejected_stopped", 1);
     return false;
   }
-  return ingestor_.IngestMetrics(sample);
+  return core_.ingestor().IngestMetrics(sample);
 }
 
 bool OnlineService::AppendBatch(const std::vector<QueryLogRecord>& records,
@@ -121,9 +79,9 @@ bool OnlineService::AppendBatch(const std::vector<QueryLogRecord>& records,
     PINSQL_OBS_COUNT("online.service.batches_rejected_stopped", 1);
     return false;
   }
-  ingestor_.IngestRecords(records);
+  core_.ingestor().IngestRecords(records);
   for (const PerfSample& sample : samples) {
-    ingestor_.IngestMetrics(sample);
+    core_.ingestor().IngestMetrics(sample);
   }
   return true;
 }
@@ -131,69 +89,37 @@ bool OnlineService::AppendBatch(const std::vector<QueryLogRecord>& records,
 std::vector<DiagnosisOutcome> OnlineService::Advance() {
   std::lock_guard<std::mutex> lock(advance_mu_);
   std::vector<DiagnosisOutcome> completed;
-  if (!running_) return completed;
-  const auto mark = ingestor_.watermark_sec();
-  if (!mark.has_value()) return completed;
-  const int64_t from = processed_any_ ? last_processed_sec_ + 1 : *mark;
-  for (int64_t sec = from; sec <= *mark; ++sec) {
-    ProcessSecond(sec, &completed);
-  }
+  if (running_) ProcessPendingSeconds(&completed);
   return completed;
+}
+
+void OnlineService::ProcessPendingSeconds(
+    std::vector<DiagnosisOutcome>* completed) {
+  const SecondRange range = core_.Unprocessed();
+  for (int64_t sec = range.first; sec <= range.last; ++sec) {
+    ProcessSecond(sec, completed);
+  }
 }
 
 void OnlineService::ProcessSecond(int64_t sec,
                                   std::vector<DiagnosisOutcome>* completed) {
   // One pump per processed second: everything staged before this second's
   // sample arrived is folded before the window could be snapshotted.
-  ingestor_.Pump();
-
-  double value = std::numeric_limits<double>::quiet_NaN();
-  if (auto sample = ingestor_.SampleAt(sec); sample.has_value()) {
-    value = sample->active_session;
-  }
-  if (auto trigger = detector_.Observe(sec, value); trigger.has_value()) {
-    scheduler_.OnTrigger(*trigger);
-  }
-  if (detector_.in_run()) scheduler_.NoteAnomalousActivity(sec);
+  core_.ingestor().Pump();
+  const SecondStep step = core_.Step(sec, scheduler_.open_window_floor_ms());
+  if (step.trigger.has_value()) scheduler_.OnTrigger(*step.trigger);
+  if (step.in_run) scheduler_.NoteAnomalousActivity(sec);
 
   auto outcomes = scheduler_.Poll(sec);
   completed->insert(completed->end(), outcomes.begin(), outcomes.end());
-
-  if (sec % kRetentionEverySec == 0) {
-    // Never trim a record an open sliding window or an in-flight diagnosis
-    // still needs.
-    int64_t keep_from_ms = std::numeric_limits<int64_t>::max();
-    if (auto floor = ingestor_.window_floor_sec(); floor.has_value()) {
-      keep_from_ms = *floor * 1000;
-    }
-    if (auto floor = scheduler_.open_window_floor_ms(); floor.has_value()) {
-      keep_from_ms = std::min(keep_from_ms, *floor);
-    }
-    records_retired_ += archive_.TrimExpiredKeeping(sec * 1000, keep_from_ms);
-    ++retention_sweeps_;
-  }
-
-  last_processed_sec_ = sec;
-  processed_any_ = true;
-  ++seconds_processed_;
   PINSQL_OBS_COUNT("online.seconds_processed", 1);
 }
 
 ServiceState OnlineService::ExportState() const {
   std::lock_guard<std::mutex> lock(advance_mu_);
   ServiceState state;
-  state.ingestor = ingestor_.ExportState();
-  state.detector = detector_.ExportState();
+  core_.ExportState(&state);
   state.scheduler = scheduler_.ExportState();
-  state.processed_any = processed_any_;
-  state.last_processed_sec = last_processed_sec_;
-  state.retention_sweeps = retention_sweeps_;
-  state.records_retired = records_retired_;
-  state.seconds_processed = seconds_processed_;
-  state.archive_records = archive_.SortedRecords();
-  state.catalog.assign(archive_.catalog().begin(), archive_.catalog().end());
-  std::sort(state.catalog.begin(), state.catalog.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
   return state;
 }
 
@@ -203,20 +129,8 @@ Status OnlineService::ImportState(const ServiceState& state) {
     return Status::FailedPrecondition(
         "ImportState requires a stopped service");
   }
-  if (Status status = ingestor_.ImportState(state.ingestor); !status.ok()) {
-    return status;
-  }
-  detector_.ImportState(state.detector);
+  if (Status status = core_.ImportState(state); !status.ok()) return status;
   scheduler_.ImportState(state.scheduler);
-  processed_any_ = state.processed_any;
-  last_processed_sec_ = state.last_processed_sec;
-  retention_sweeps_ = state.retention_sweeps;
-  records_retired_ = state.records_retired;
-  seconds_processed_ = state.seconds_processed;
-  archive_.ReplaceRecords(state.archive_records);
-  for (const auto& [sql_id, entry] : state.catalog) {
-    archive_.RegisterTemplate(sql_id, entry);
-  }
   return Status::OK();
 }
 
@@ -227,12 +141,12 @@ const std::vector<DiagnosisOutcome>& OnlineService::outcomes() const {
 ServiceStats OnlineService::stats() const {
   std::lock_guard<std::mutex> lock(advance_mu_);
   ServiceStats stats;
-  stats.ingest = ingestor_.stats();
-  stats.detector = detector_.stats();
+  stats.ingest = core_.ingestor().stats();
+  stats.detector = core_.detector().stats();
   stats.scheduler = scheduler_.stats();
-  stats.seconds_processed = seconds_processed_;
-  stats.retention_sweeps = static_cast<size_t>(retention_sweeps_);
-  stats.records_retired = records_retired_;
+  stats.seconds_processed = core_.seconds_processed();
+  stats.retention_sweeps = static_cast<size_t>(core_.retention_sweeps());
+  stats.records_retired = static_cast<size_t>(core_.records_retired());
   stats.records_rejected_stopped =
       records_rejected_stopped_.load(std::memory_order_relaxed);
   stats.samples_rejected_stopped =

@@ -2,16 +2,13 @@
 #define PINSQL_ONLINE_SERVICE_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <memory>
 #include <mutex>
-#include <optional>
 #include <shared_mutex>
-#include <thread>
 #include <vector>
 
 #include "logstore/log_store.h"
+#include "online/instance_core.h"
 #include "online/online_detector.h"
 #include "online/scheduler.h"
 #include "online/service_state.h"
@@ -21,19 +18,10 @@
 
 namespace pinsql::online {
 
-/// Archive retention sweep cadence, in processed seconds. A sweep trims
-/// the archive to LogStore::kRetentionMs behind the processed second,
-/// keeping what open windows and in-flight diagnoses still need.
-inline constexpr int64_t kRetentionEverySec = 60;
-
 struct ServiceOptions {
   IngestorOptions ingestor;
   OnlineDetectorOptions detector;
   SchedulerOptions scheduler;
-  /// Real-time mode: a background thread keeps pumping the ingestor's
-  /// staging queues so producers never see deep queues between Advance()
-  /// calls. Replay leaves this off — Advance() pumps deterministically.
-  bool background_pump = false;
 };
 
 struct ServiceStats {
@@ -52,15 +40,17 @@ struct ServiceStats {
   uint64_t batches_rejected_stopped = 0;
 };
 
-/// The continuous online diagnosis service: glues ingestion, streaming
-/// detection, scheduled diagnosis and supervised repair into one
-/// start/stop lifecycle.
+/// The continuous online diagnosis service: one InstanceCore (ingestion,
+/// streaming detection, archive retention), a DiagnosisScheduler with its
+/// optional repair supervisor, and an ingest gate that orders producers
+/// against Stop() — one start/stop lifecycle.
 ///
 /// Threading: IngestRecord / IngestMetrics are safe from any number of
 /// producer threads at any time between Start() and Stop(). Advance() is
-/// the per-second processing loop — it drains staged records, feeds the
-/// detector one sample per watermark second, polls the scheduler and
-/// applies retention; calls serialize on an internal mutex. The clock is
+/// the per-second processing loop — for every watermark second not yet
+/// processed it folds the staged records, steps the core and polls the
+/// scheduler; calls serialize on an internal mutex. Records are folded
+/// only there (and in Stop), never in the background. The clock is
 /// *virtual*: it is the metric watermark, so driving the service from a
 /// recorded stream replays bit-identically (no wall-clock reads anywhere
 /// on the processing path).
@@ -76,12 +66,17 @@ class OnlineService {
 
   /// The archive the folded records land in. Register the template catalog
   /// here before Start().
-  LogStore* archive() { return &archive_; }
+  LogStore* archive() { return core_.archive(); }
 
-  /// Starts accepting work (and the pump thread, in real-time mode).
+  /// The per-instance core. The durable service replays its journal into
+  /// it and journals what producers hand it; other callers ingest through
+  /// the gated entry points below.
+  InstanceCore* core() { return &core_; }
+
+  /// Starts accepting work.
   void Start();
 
-  /// Graceful drain: stops the pump thread, folds every staged record,
+  /// Graceful drain: closes the ingest gate, folds every staged record,
   /// processes every watermark second not yet processed, runs every queued
   /// diagnosis. Idempotent.
   void Stop();
@@ -110,9 +105,9 @@ class OnlineService {
   /// Every completed diagnosis so far, in completion order.
   const std::vector<DiagnosisOutcome>& outcomes() const;
 
-  const OnlineAnomalyDetector& detector() const { return detector_; }
+  const OnlineAnomalyDetector& detector() const { return core_.detector(); }
   const DiagnosisScheduler& scheduler() const { return scheduler_; }
-  const StreamIngestor& ingestor() const { return ingestor_; }
+  const StreamIngestor& ingestor() const { return core_.ingestor(); }
 
   ServiceStats stats() const;
 
@@ -128,13 +123,11 @@ class OnlineService {
   Status ImportState(const ServiceState& state);
 
  private:
+  /// Processes every watermark second not yet processed.
+  void ProcessPendingSeconds(std::vector<DiagnosisOutcome>* completed);
   void ProcessSecond(int64_t sec, std::vector<DiagnosisOutcome>* completed);
-  void PumpLoop();
 
-  ServiceOptions options_;
-  LogStore archive_;
-  StreamIngestor ingestor_;
-  OnlineAnomalyDetector detector_;
+  InstanceCore core_;
   DiagnosisScheduler scheduler_;
 
   /// Ingest gate ordering producers against Stop(): producers hold it
@@ -150,16 +143,6 @@ class OnlineService {
 
   mutable std::mutex advance_mu_;
   bool running_ = false;
-  bool processed_any_ = false;
-  int64_t last_processed_sec_ = 0;
-  int64_t retention_sweeps_ = 0;
-  size_t records_retired_ = 0;
-  int64_t seconds_processed_ = 0;
-
-  std::mutex pump_mu_;
-  std::condition_variable pump_cv_;
-  bool pump_stop_ = false;
-  std::thread pump_thread_;
 };
 
 }  // namespace pinsql::online

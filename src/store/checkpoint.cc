@@ -27,27 +27,13 @@ constexpr size_t kCheckpointOverhead = 16;
 // ---------------------------------------------------------------------------
 // Encode
 
-void EncodeRecord(codec::Writer* w, const QueryLogRecord& record) {
-  w->I64(record.arrival_ms);
-  w->F64(record.response_ms);
-  w->U64(record.sql_id);
-  w->I64(record.examined_rows);
-}
-
-void EncodeSample(codec::Writer* w, const online::PerfSample& sample) {
-  w->I64(sample.sec);
-  w->F64(sample.active_session);
-  w->F64(sample.cpu_usage);
-  w->F64(sample.iops_usage);
-  w->F64(sample.row_lock_waits);
-  w->F64(sample.mdl_waits);
-}
-
 void EncodeIngestor(codec::Writer* w, const online::IngestorState& state) {
   w->U64(state.shards.size());
   for (const online::IngestorShardState& shard : state.shards) {
     w->U64(shard.queue.size());
-    for (const QueryLogRecord& record : shard.queue) EncodeRecord(w, record);
+    for (const QueryLogRecord& record : shard.queue) {
+      codec::EncodeRecord(w, record);
+    }
     w->U64(shard.enqueued);
     w->U64(shard.dropped_backpressure);
     w->U64(shard.folded);
@@ -67,7 +53,7 @@ void EncodeIngestor(codec::Writer* w, const online::IngestorState& state) {
   w->U64(state.metric_buckets.size());
   for (const online::IngestorMetricBucketState& bucket : state.metric_buckets) {
     w->I64(bucket.sec);
-    EncodeSample(w, bucket.sample);
+    codec::EncodeSample(w, bucket.sample);
   }
   w->U64(state.metric_samples);
   w->U64(state.metric_samples_dropped);
@@ -181,16 +167,6 @@ void EncodeScheduler(codec::Writer* w, const online::SchedulerState& state) {
   }
 }
 
-void EncodeRepairEvent(codec::Writer* w, const repair::RepairEvent& event) {
-  w->F64(event.time_ms);
-  w->Str(repair::RepairEventKindName(event.kind));
-  w->Str(repair::ActionTypeName(event.action));
-  w->U64(event.sql_id);
-  w->U64(event.ticket);
-  w->I64(event.attempt);
-  w->Str(event.detail);
-}
-
 // ---------------------------------------------------------------------------
 // Decode
 
@@ -200,17 +176,6 @@ void EncodeRepairEvent(codec::Writer* w, const repair::RepairEvent& event) {
 bool PlausibleCount(const codec::Reader& r, uint64_t count,
                     size_t min_elem_bytes) {
   return count <= r.remaining() / min_elem_bytes;
-}
-
-bool DecodeRecord(codec::Reader* r, QueryLogRecord* record) {
-  return r->I64(&record->arrival_ms) && r->F64(&record->response_ms) &&
-         r->U64(&record->sql_id) && r->I64(&record->examined_rows);
-}
-
-bool DecodeSample(codec::Reader* r, online::PerfSample* sample) {
-  return r->I64(&sample->sec) && r->F64(&sample->active_session) &&
-         r->F64(&sample->cpu_usage) && r->F64(&sample->iops_usage) &&
-         r->F64(&sample->row_lock_waits) && r->F64(&sample->mdl_waits);
 }
 
 bool DecodeIngestor(codec::Reader* r, online::IngestorState* state) {
@@ -226,7 +191,7 @@ bool DecodeIngestor(codec::Reader* r, online::IngestorState* state) {
     }
     shard.queue.resize(queue_size);
     for (QueryLogRecord& record : shard.queue) {
-      if (!DecodeRecord(r, &record)) return false;
+      if (!codec::DecodeRecord(r, &record)) return false;
     }
     if (!r->U64(&shard.enqueued) || !r->U64(&shard.dropped_backpressure) ||
         !r->U64(&shard.folded) || !r->U64(&shard.dropped_late)) {
@@ -259,7 +224,9 @@ bool DecodeIngestor(codec::Reader* r, online::IngestorState* state) {
   }
   state->metric_buckets.resize(num_metric_buckets);
   for (online::IngestorMetricBucketState& bucket : state->metric_buckets) {
-    if (!r->I64(&bucket.sec) || !DecodeSample(r, &bucket.sample)) return false;
+    if (!r->I64(&bucket.sec) || !codec::DecodeSample(r, &bucket.sample)) {
+      return false;
+    }
   }
   return r->U64(&state->metric_samples) &&
          r->U64(&state->metric_samples_dropped) && r->I64(&state->watermark);
@@ -422,20 +389,6 @@ bool DecodeScheduler(codec::Reader* r, online::SchedulerState* state) {
   return true;
 }
 
-bool DecodeRepairEvent(codec::Reader* r, repair::RepairEvent* event) {
-  std::string kind_name, action_name;
-  int64_t attempt = 0;
-  if (!r->F64(&event->time_ms) || !r->Str(&kind_name) ||
-      !r->Str(&action_name) || !r->U64(&event->sql_id) ||
-      !r->U64(&event->ticket) || !r->I64(&attempt) || !r->Str(&event->detail)) {
-    return false;
-  }
-  if (!repair::RepairEventKindFromName(kind_name, &event->kind)) return false;
-  if (!repair::ActionTypeFromName(action_name, &event->action)) return false;
-  event->attempt = static_cast<int>(attempt);
-  return true;
-}
-
 /// Parses the counter out of a checkpoint file name, or nullopt when the
 /// name is not of the ckpt-<digits>.ckpt form.
 std::optional<uint64_t> ParseCheckpointCounter(const std::string& name) {
@@ -481,7 +434,7 @@ std::string EncodeCheckpointBody(const CheckpointData& data) {
   w.I64(service.seconds_processed);
   w.U64(service.archive_records.size());
   for (const QueryLogRecord& record : service.archive_records) {
-    EncodeRecord(&w, record);
+    codec::EncodeRecord(&w, record);
   }
   w.U64(service.catalog.size());
   for (const auto& [sql_id, entry] : service.catalog) {
@@ -494,7 +447,7 @@ std::string EncodeCheckpointBody(const CheckpointData& data) {
 
   w.U64(data.audit.size());
   for (const repair::RepairEvent& event : data.audit) {
-    EncodeRepairEvent(&w, event);
+    codec::EncodeRepairEvent(&w, event);
   }
   return out;
 }
@@ -528,7 +481,7 @@ StatusOr<CheckpointData> DecodeCheckpointBody(std::string_view body) {
   }
   service.archive_records.resize(num_records);
   for (QueryLogRecord& record : service.archive_records) {
-    if (!DecodeRecord(&r, &record)) {
+    if (!codec::DecodeRecord(&r, &record)) {
       return Status::ParseError("checkpoint: truncated archive record");
     }
   }
@@ -561,7 +514,7 @@ StatusOr<CheckpointData> DecodeCheckpointBody(std::string_view body) {
   }
   data.audit.resize(num_events);
   for (repair::RepairEvent& event : data.audit) {
-    if (!DecodeRepairEvent(&r, &event)) {
+    if (!codec::DecodeRepairEvent(&r, &event).ok()) {
       return Status::ParseError("checkpoint: malformed audit event");
     }
   }

@@ -6,6 +6,11 @@
 #include <string>
 #include <string_view>
 
+#include "logstore/log_store.h"
+#include "online/stream_ingestor.h"
+#include "repair/events.h"
+#include "util/status.h"
+
 namespace pinsql::store::codec {
 
 /// Explicit little-endian binary encoding, independent of host byte order,
@@ -134,6 +139,69 @@ class Reader {
   size_t pos_ = 0;
   bool failed_ = false;
 };
+
+// ---------------------------------------------------------------------------
+// Field layouts shared by the WAL frames and the checkpoint body. Each type
+// is encoded in exactly one place, so the two formats cannot drift apart.
+
+inline void EncodeRecord(Writer* w, const QueryLogRecord& record) {
+  w->I64(record.arrival_ms);
+  w->F64(record.response_ms);
+  w->U64(record.sql_id);
+  w->I64(record.examined_rows);
+}
+
+inline bool DecodeRecord(Reader* r, QueryLogRecord* record) {
+  return r->I64(&record->arrival_ms) && r->F64(&record->response_ms) &&
+         r->U64(&record->sql_id) && r->I64(&record->examined_rows);
+}
+
+inline void EncodeSample(Writer* w, const online::PerfSample& sample) {
+  w->I64(sample.sec);
+  w->F64(sample.active_session);
+  w->F64(sample.cpu_usage);
+  w->F64(sample.iops_usage);
+  w->F64(sample.row_lock_waits);
+  w->F64(sample.mdl_waits);
+}
+
+inline bool DecodeSample(Reader* r, online::PerfSample* sample) {
+  return r->I64(&sample->sec) && r->F64(&sample->active_session) &&
+         r->F64(&sample->cpu_usage) && r->F64(&sample->iops_usage) &&
+         r->F64(&sample->row_lock_waits) && r->F64(&sample->mdl_waits);
+}
+
+/// Kind and action travel as their stable names, so a decode validates
+/// against the enums instead of trusting a raw byte.
+inline void EncodeRepairEvent(Writer* w, const repair::RepairEvent& event) {
+  w->F64(event.time_ms);
+  w->Str(repair::RepairEventKindName(event.kind));
+  w->Str(repair::ActionTypeName(event.action));
+  w->U64(event.sql_id);
+  w->U64(event.ticket);
+  w->I64(event.attempt);
+  w->Str(event.detail);
+}
+
+/// ParseError "truncated", "unknown kind <name>" or "unknown action
+/// <name>"; callers prefix their own context.
+inline Status DecodeRepairEvent(Reader* r, repair::RepairEvent* event) {
+  std::string kind_name, action_name;
+  int64_t attempt = 0;
+  if (!r->F64(&event->time_ms) || !r->Str(&kind_name) ||
+      !r->Str(&action_name) || !r->U64(&event->sql_id) ||
+      !r->U64(&event->ticket) || !r->I64(&attempt) || !r->Str(&event->detail)) {
+    return Status::ParseError("truncated");
+  }
+  if (!repair::RepairEventKindFromName(kind_name, &event->kind)) {
+    return Status::ParseError("unknown kind " + kind_name);
+  }
+  if (!repair::ActionTypeFromName(action_name, &event->action)) {
+    return Status::ParseError("unknown action " + action_name);
+  }
+  event->attempt = static_cast<int>(attempt);
+  return Status::OK();
+}
 
 }  // namespace pinsql::store::codec
 

@@ -13,6 +13,7 @@
 #include "repair/events.h"
 #include "store/checkpoint.h"
 #include "store/env.h"
+#include "store/instance_journal.h"
 #include "store/wal.h"
 #include "util/status.h"
 
@@ -61,10 +62,9 @@ struct DurableStats {
 /// Processing discipline: all entry points serialize on one mutex, and
 /// every sample triggers an Advance(). This fixes the fold/process
 /// interleaving to exactly what the WAL records — the property the
-/// byte-identical recovery contract rests on (background_pump is forced
-/// off for the same reason). Durability of an accepted record follows the
-/// fsync policy at the *next sample* frame, since records journal as one
-/// batch frame per second.
+/// byte-identical recovery contract rests on. Durability of an accepted
+/// record follows the fsync policy at the *next sample* frame, since
+/// records journal as one batch frame per second (see InstanceJournal).
 class DurableOnlineService {
  public:
   /// Opens (creating the directory if needed) and recovers `data_dir`,
@@ -132,7 +132,6 @@ class DurableOnlineService {
 
   Status Recover(repair::RepairSupervisor* supervisor,
                  const core::HistoryProvider* history);
-  Status FlushPendingLocked();
   Status CheckpointLocked();
   void JournalNewRepairEventsLocked();
 
@@ -142,13 +141,10 @@ class DurableOnlineService {
 
   mutable std::mutex mu_;
   std::unique_ptr<online::OnlineService> service_;
-  std::unique_ptr<WalWriter> writer_;
+  std::unique_ptr<InstanceJournal> journal_;
   repair::RepairSupervisor* supervisor_ = nullptr;
   bool stopped_ = false;
 
-  /// Accepted records awaiting their batch frame (journaled before the
-  /// next sample frame).
-  std::vector<QueryLogRecord> pending_;
   std::vector<repair::RepairEvent> audit_;
   /// Supervisor events already journaled (index into supervisor->events()).
   size_t supervisor_events_seen_ = 0;

@@ -131,19 +131,11 @@ std::string EncodeFramePayload(const WalFrame& frame) {
     case FrameKind::kRecordBatch:
       w.U32(static_cast<uint32_t>(frame.records.size()));
       for (const QueryLogRecord& record : frame.records) {
-        w.I64(record.arrival_ms);
-        w.F64(record.response_ms);
-        w.U64(record.sql_id);
-        w.I64(record.examined_rows);
+        codec::EncodeRecord(&w, record);
       }
       break;
     case FrameKind::kSample:
-      w.I64(frame.sample.sec);
-      w.F64(frame.sample.active_session);
-      w.F64(frame.sample.cpu_usage);
-      w.F64(frame.sample.iops_usage);
-      w.F64(frame.sample.row_lock_waits);
-      w.F64(frame.sample.mdl_waits);
+      codec::EncodeSample(&w, frame.sample);
       break;
     case FrameKind::kTemplate:
       w.U64(frame.template_id);
@@ -155,15 +147,7 @@ std::string EncodeFramePayload(const WalFrame& frame) {
       }
       break;
     case FrameKind::kRepairEvent:
-      w.F64(frame.event.time_ms);
-      // Kind/action travel as their stable names, so a decode validates
-      // against the enum instead of trusting a raw byte.
-      w.Str(repair::RepairEventKindName(frame.event.kind));
-      w.Str(repair::ActionTypeName(frame.event.action));
-      w.U64(frame.event.sql_id);
-      w.U64(frame.event.ticket);
-      w.I64(frame.event.attempt);
-      w.Str(frame.event.detail);
+      codec::EncodeRepairEvent(&w, frame.event);
       break;
   }
   return out;
@@ -195,8 +179,7 @@ StatusOr<WalFrame> DecodeFramePayload(std::string_view payload) {
       }
       frame.records.resize(n);
       for (QueryLogRecord& record : frame.records) {
-        if (!r.I64(&record.arrival_ms) || !r.F64(&record.response_ms) ||
-            !r.U64(&record.sql_id) || !r.I64(&record.examined_rows)) {
+        if (!codec::DecodeRecord(&r, &record)) {
           return Status::ParseError("record batch: truncated record");
         }
       }
@@ -204,11 +187,7 @@ StatusOr<WalFrame> DecodeFramePayload(std::string_view payload) {
     }
     case FrameKind::kSample:
       frame.kind = FrameKind::kSample;
-      if (!r.I64(&frame.sample.sec) || !r.F64(&frame.sample.active_session) ||
-          !r.F64(&frame.sample.cpu_usage) ||
-          !r.F64(&frame.sample.iops_usage) ||
-          !r.F64(&frame.sample.row_lock_waits) ||
-          !r.F64(&frame.sample.mdl_waits)) {
+      if (!codec::DecodeSample(&r, &frame.sample)) {
         return Status::ParseError("sample: truncated");
       }
       break;
@@ -234,26 +213,13 @@ StatusOr<WalFrame> DecodeFramePayload(std::string_view payload) {
       }
       break;
     }
-    case FrameKind::kRepairEvent: {
+    case FrameKind::kRepairEvent:
       frame.kind = FrameKind::kRepairEvent;
-      std::string kind_name, action_name;
-      int64_t attempt = 0;
-      if (!r.F64(&frame.event.time_ms) || !r.Str(&kind_name) ||
-          !r.Str(&action_name) || !r.U64(&frame.event.sql_id) ||
-          !r.U64(&frame.event.ticket) || !r.I64(&attempt) ||
-          !r.Str(&frame.event.detail)) {
-        return Status::ParseError("repair event: truncated");
+      if (Status status = codec::DecodeRepairEvent(&r, &frame.event);
+          !status.ok()) {
+        return Status::ParseError("repair event: " + status.message());
       }
-      if (!repair::RepairEventKindFromName(kind_name, &frame.event.kind)) {
-        return Status::ParseError("repair event: unknown kind " + kind_name);
-      }
-      if (!repair::ActionTypeFromName(action_name, &frame.event.action)) {
-        return Status::ParseError("repair event: unknown action " +
-                                  action_name);
-      }
-      frame.event.attempt = static_cast<int>(attempt);
       break;
-    }
     default:
       return Status::ParseError("unknown frame kind " + std::to_string(kind));
   }
@@ -354,7 +320,13 @@ Status WalWriter::AppendWrapped(const std::string& wrapped,
   return MaybeSync();
 }
 
-Status WalWriter::AppendFrame(const WalFrame& frame, int64_t max_event_ms) {
+Status WalWriter::AppendFrame(const WalFrame& frame) {
+  // Untimestamped frames (templates) leave the segment's retention
+  // metadata alone.
+  EventSpan span{0, 0};
+  const int64_t max_event_ms = FrameEventSpan(frame, &span) == SpanStatus::kOk
+                                   ? span.hi_ms
+                                   : std::numeric_limits<int64_t>::min();
   return AppendWrapped(WrapFrame(EncodeFramePayload(frame)), max_event_ms);
 }
 
@@ -364,20 +336,14 @@ Status WalWriter::AppendRecordBatch(
   WalFrame frame;
   frame.kind = FrameKind::kRecordBatch;
   frame.records = records;
-  EventSpan span{0, 0};
-  FrameEventSpan(frame, &span);  // non-empty batch always has a span
-  return AppendFrame(frame, span.hi_ms);
+  return AppendFrame(frame);
 }
 
 Status WalWriter::AppendSample(const online::PerfSample& sample) {
   WalFrame frame;
   frame.kind = FrameKind::kSample;
   frame.sample = sample;
-  EventSpan span{0, 0};
-  const int64_t max_event_ms = FrameEventSpan(frame, &span) == SpanStatus::kOk
-                                   ? span.hi_ms
-                                   : std::numeric_limits<int64_t>::min();
-  return AppendFrame(frame, max_event_ms);
+  return AppendFrame(frame);
 }
 
 Status WalWriter::AppendTemplate(uint64_t sql_id,
@@ -386,18 +352,14 @@ Status WalWriter::AppendTemplate(uint64_t sql_id,
   frame.kind = FrameKind::kTemplate;
   frame.template_id = sql_id;
   frame.template_entry = entry;
-  return AppendFrame(frame, std::numeric_limits<int64_t>::min());
+  return AppendFrame(frame);
 }
 
 Status WalWriter::AppendRepairEvent(const repair::RepairEvent& event) {
   WalFrame frame;
   frame.kind = FrameKind::kRepairEvent;
   frame.event = event;
-  EventSpan span{0, 0};
-  const int64_t max_event_ms = FrameEventSpan(frame, &span) == SpanStatus::kOk
-                                   ? span.hi_ms
-                                   : std::numeric_limits<int64_t>::min();
-  return AppendFrame(frame, max_event_ms);
+  return AppendFrame(frame);
 }
 
 Status WalWriter::MaybeSync() {

@@ -175,7 +175,7 @@ class WalWriter {
   WalWriter(Env* env, std::string dir, const WalOptions& options);
 
   Status OpenSegment(uint64_t seq);
-  Status AppendFrame(const WalFrame& frame, int64_t max_event_ms);
+  Status AppendFrame(const WalFrame& frame);
   Status AppendWrapped(const std::string& wrapped, int64_t max_event_ms);
   Status MaybeSync();
   void SealCurrent();

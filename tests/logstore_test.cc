@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "logstore/log_store.h"
+#include "obs/metrics.h"
 #include "util/rng.h"
 
 namespace pinsql {
@@ -307,6 +308,7 @@ TEST(LogStoreTest, TailSortMergeMatchesStableSortOverSeededOps) {
   // merges it into the sorted prefix. Against a reference that stable-sorts
   // every live record on each scan, over random appends (in order, out of
   // order, heavy timestamp ties), scans, trims that do and do not compact,
+  // retention-style trims that find nothing or part of the store expired,
   // copies and moves. examined_rows carries a unique append sequence, so
   // tie order is checked too.
   for (const uint64_t seed : {1u, 2u, 3u, 4u, 5u, 6u}) {
@@ -331,7 +333,7 @@ TEST(LogStoreTest, TailSortMergeMatchesStableSortOverSeededOps) {
       }
     };
     for (int op = 0; op < 400; ++op) {
-      const int64_t kind = rng.UniformInt(0, 9);
+      const int64_t kind = rng.UniformInt(0, 10);
       if (kind <= 5) {
         // A pump-sized run: mostly near the clock, some late, many ties.
         const int64_t n = rng.UniformInt(1, 40);
@@ -377,10 +379,35 @@ TEST(LogStoreTest, TailSortMergeMatchesStableSortOverSeededOps) {
         assigned = store;
         expect_same(assigned);
         store = std::move(copy);
-      } else {
+      } else if (kind == 9) {
         LogStore moved(std::move(store));
         store = LogStore();
         store = std::move(moved);
+      } else {
+        // A retention sweep: the cutoff at or below the oldest live arrival
+        // (nothing expired, and the trim must not sort), or above it.
+        int64_t oldest_ms = clock_ms;
+        for (const QueryLogRecord& r : model) {
+          oldest_ms = std::min(oldest_ms, r.arrival_ms);
+        }
+        const int64_t cutoff =
+            rng.UniformInt(0, 1) == 0
+                ? oldest_ms - rng.UniformInt(0, 300)
+                : oldest_ms + rng.UniformInt(1, clock_ms - oldest_ms + 1);
+        const auto expired = [cutoff](const QueryLogRecord& r) {
+          return r.arrival_ms < cutoff;
+        };
+        const size_t dropped = static_cast<size_t>(
+            std::count_if(model.begin(), model.end(), expired));
+        model.erase(std::remove_if(model.begin(), model.end(), expired),
+                    model.end());
+        obs::Counter& sorts =
+            obs::MetricsRegistry::Global().GetCounter("logstore.sort_triggers");
+        const uint64_t sorts_before = sorts.value();
+        EXPECT_EQ(store.TrimBefore(cutoff), dropped);
+        if (dropped == 0) {
+          EXPECT_EQ(sorts.value(), sorts_before);
+        }
       }
       ASSERT_EQ(store.size(), model.size());
     }

@@ -494,7 +494,6 @@ TEST(SchedulerTest, OpenWindowFloorSurvivesAStateRoundTrip) {
 TEST(OnlineServiceTest, GracefulDrainUnderRacingProducers) {
   ServiceOptions options;
   options.ingestor.window_sec = 3600;
-  options.background_pump = true;
   OnlineService service(options);
   service.Start();
 
@@ -546,7 +545,6 @@ TEST(OnlineServiceTest, StopNeverHalfAppliesABatch) {
   // rejected whole and counted.
   ServiceOptions options;
   options.ingestor.window_sec = 3600;
-  options.background_pump = true;
   OnlineService service(options);
   service.Start();
 
