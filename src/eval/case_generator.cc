@@ -1,6 +1,7 @@
 #include "eval/case_generator.h"
 
 #include <algorithm>
+#include <limits>
 #include <map>
 
 #include "dbsim/engine.h"
@@ -121,6 +122,29 @@ AnomalyCaseData GenerateCase(const CaseGenOptions& options) {
     }
   }
   return data;
+}
+
+void PinInjectionSeverity(workload::AnomalyType type,
+                          workload::Workload* workload,
+                          workload::Injection* injection) {
+  auto& injected = workload->templates.back();
+  if (type == workload::AnomalyType::kPoorSql) {
+    injected.cpu_ms_mean = 320.0;
+    injection->overrides[0].add_qps = 15.0;
+  } else if (type == workload::AnomalyType::kRowLock) {
+    injected.cpu_ms_mean = 400.0;
+    injected.row_groups_touched = 3;
+    injected.hot_group_limit = 4;
+    injection->overrides[0].add_qps = 2.5;
+    for (auto& table : workload->tables) {
+      if (table.id == injected.table_id) table.hot_row_groups = 4;
+    }
+  }
+}
+
+double SeriesValue(const TimeSeries& series, int64_t sec) {
+  if (!series.Covers(sec)) return std::numeric_limits<double>::quiet_NaN();
+  return series.AtTime(sec);
 }
 
 }  // namespace pinsql::eval

@@ -92,6 +92,20 @@ struct AnomalyCaseData {
 /// -> ground-truth labeling -> history windows.
 AnomalyCaseData GenerateCase(const CaseGenOptions& options);
 
+/// Pins the injected anomaly's severity where a random draw can be too mild
+/// to matter: poor-SQL and row-lock injections get a fixed CPU cost and
+/// rate, row locks also a fixed hot-group contention. Other types run as
+/// drawn (the extended categories already target a concurrency band in
+/// their builders). Shared by the online E2E, detection and closed-loop
+/// evaluations.
+void PinInjectionSeverity(workload::AnomalyType type,
+                          workload::Workload* workload,
+                          workload::Injection* injection);
+
+/// The series value at `sec`, NaN where the series does not cover it (a
+/// telemetry gap).
+double SeriesValue(const TimeSeries& series, int64_t sec);
+
 }  // namespace pinsql::eval
 
 #endif  // PINSQL_EVAL_CASE_GENERATOR_H_

@@ -7,6 +7,7 @@
 #include "core/diagnoser.h"
 #include "dbsim/engine.h"
 #include "dbsim/monitor.h"
+#include "eval/case_generator.h"
 #include "util/thread_pool.h"
 #include "workload/arrivals.h"
 #include "workload/scenario.h"
@@ -54,21 +55,8 @@ ClosedLoopCaseOutcome RunClosedLoopCase(const ClosedLoopOptions& options,
                                          : workload::AnomalyType::kRowLock;
   workload::Injection injection = workload::MakeInjection(
       type, &workload, options.anomaly_start_sec, options.day_end_sec, &rng);
-  // Pin the case severity (random draws can be too mild to need repair).
-  if (type == workload::AnomalyType::kPoorSql) {
-    workload.templates.back().cpu_ms_mean = 320.0;
-    injection.overrides[0].add_qps = 15.0;
-  } else {
-    workload.templates.back().cpu_ms_mean = 400.0;
-    workload.templates.back().row_groups_touched = 3;
-    workload.templates.back().hot_group_limit = 4;
-    injection.overrides[0].add_qps = 2.5;
-    for (auto& table : workload.tables) {
-      if (table.id == workload.templates.back().table_id) {
-        table.hot_row_groups = 4;
-      }
-    }
-  }
+  // Random draws can be too mild to need repair.
+  PinInjectionSeverity(type, &workload, &injection);
   const uint64_t rsql_truth = injection.root_cause_ids[0];
 
   LogStore logs;

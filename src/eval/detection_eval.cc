@@ -2,61 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <memory>
 
 #include "detect/forecast.h"
+#include "eval/metrics.h"
 #include "util/thread_pool.h"
 
 namespace pinsql::eval {
 namespace {
-
-double SeriesValue(const TimeSeries& series, int64_t sec) {
-  if (!series.Covers(sec)) return std::numeric_limits<double>::quiet_NaN();
-  return series.AtTime(sec);
-}
-
-double MedianOf(std::vector<double> v) {
-  if (v.empty()) return -1.0;
-  std::sort(v.begin(), v.end());
-  const size_t n = v.size();
-  return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
-}
-
-/// Pins injected severities where the random draw can be too mild to move
-/// the session (same constants as the online E2E harness for the legacy
-/// categories). Extended categories already target a concurrency band in
-/// their builders, so they run as drawn.
-void PinDetectionSeverity(workload::AnomalyType type,
-                          workload::Workload* workload,
-                          workload::Injection* injection) {
-  switch (type) {
-    case workload::AnomalyType::kPoorSql:
-      workload->templates.back().cpu_ms_mean = 320.0;
-      injection->overrides[0].add_qps = 15.0;
-      break;
-    case workload::AnomalyType::kRowLock:
-      workload->templates.back().cpu_ms_mean = 400.0;
-      workload->templates.back().row_groups_touched = 3;
-      workload->templates.back().hot_group_limit = 4;
-      injection->overrides[0].add_qps = 2.5;
-      for (auto& table : workload->tables) {
-        if (table.id == workload->templates.back().table_id) {
-          table.hot_row_groups = 4;
-        }
-      }
-      break;
-    case workload::AnomalyType::kBusinessSpike:
-    case workload::AnomalyType::kMdlLock:
-    case workload::AnomalyType::kFlashSaleFlood:
-    case workload::AnomalyType::kSlowDrift:
-    case workload::AnomalyType::kCacheStampede:
-    case workload::AnomalyType::kReplicationLag:
-    case workload::AnomalyType::kMigrationStorm:
-    case workload::AnomalyType::kCompound:
-      break;
-  }
-}
 
 /// True when the reference screen (the legacy robust-z + Pettitt pipeline
 /// at stock options) fires inside the pre-anomaly window. The draw's
@@ -220,7 +173,7 @@ std::vector<DetectionEvalResult> RunDetectionAblation(
     cg.type = type;
     cg.shape_injection = [type](workload::Workload* workload,
                                 workload::Injection* injection) {
-      PinDetectionSeverity(type, workload, injection);
+      PinInjectionSeverity(type, workload, injection);
     };
     if (type == workload::AnomalyType::kSlowDrift) {
       cg.pre_anomaly_sec = options.drift_pre_anomaly_sec;

@@ -1,6 +1,15 @@
 #include "eval/metrics.h"
 
+#include <algorithm>
+
 namespace pinsql::eval {
+
+double MedianOf(std::vector<double> v) {
+  if (v.empty()) return -1.0;
+  std::sort(v.begin(), v.end());
+  const size_t n = v.size();
+  return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
+}
 
 int FirstHitRank(const std::vector<uint64_t>& ranking,
                  const std::unordered_set<uint64_t>& truth) {

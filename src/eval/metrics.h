@@ -15,6 +15,9 @@ namespace pinsql::eval {
 int FirstHitRank(const std::vector<uint64_t>& ranking,
                  const std::unordered_set<uint64_t>& truth);
 
+/// Median of `v`; -1 when empty.
+double MedianOf(std::vector<double> v);
+
 /// Aggregated ranking metrics over a set of cases.
 struct RankMetrics {
   double hits_at_1 = 0.0;  // percentage

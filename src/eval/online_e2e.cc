@@ -4,12 +4,12 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
 
 #include "dbsim/engine.h"
+#include "eval/metrics.h"
 #include "faults/action_faults.h"
 #include "repair/supervisor.h"
 #include "workload/scenario.h"
@@ -17,40 +17,6 @@
 namespace pinsql::eval {
 
 namespace {
-
-double SeriesValue(const TimeSeries& series, int64_t sec) {
-  if (!series.Covers(sec)) return std::numeric_limits<double>::quiet_NaN();
-  return series.AtTime(sec);
-}
-
-double MedianOf(std::vector<double> v) {
-  if (v.empty()) return -1.0;
-  std::sort(v.begin(), v.end());
-  const size_t n = v.size();
-  return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
-}
-
-/// Pins the injected anomaly's severity so every case carries a signal the
-/// detectors are supposed to see (same rationale and constants as the
-/// closed-loop chaos eval: random draws can be too mild to matter).
-void PinInjectionSeverity(workload::AnomalyType type,
-                          workload::Workload* workload,
-                          workload::Injection* injection) {
-  if (type == workload::AnomalyType::kPoorSql) {
-    workload->templates.back().cpu_ms_mean = 320.0;
-    injection->overrides[0].add_qps = 15.0;
-  } else if (type == workload::AnomalyType::kRowLock) {
-    workload->templates.back().cpu_ms_mean = 400.0;
-    workload->templates.back().row_groups_touched = 3;
-    workload->templates.back().hot_group_limit = 4;
-    injection->overrides[0].add_qps = 2.5;
-    for (auto& table : workload->tables) {
-      if (table.id == workload->templates.back().table_id) {
-        table.hot_row_groups = 4;
-      }
-    }
-  }
-}
 
 /// Generates the case for (options, index), regenerating degenerate draws:
 /// when even the offline batch detector cannot place the anomaly near the

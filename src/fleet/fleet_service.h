@@ -31,8 +31,8 @@ struct FleetOptions {
   /// Per-instance streaming detector.
   online::OnlineDetectorOptions detector;
   /// Diagnosis configuration shared by every instance (delta_s, delay,
-  /// cooldown, zero_timings). auto_repair is ignored — the fleet service
-  /// is diagnose-only; closed-loop repair stays per-instance
+  /// cooldown, zero_timings). The fleet service is diagnose-only (it runs
+  /// no repair supervisor); closed-loop repair stays per-instance
   /// (OnlineService + RepairSupervisor).
   online::SchedulerOptions scheduler;
   /// Bounded fleet-wide diagnoser pool with priority aging.

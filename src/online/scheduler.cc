@@ -1,6 +1,5 @@
 #include "online/scheduler.h"
 
-#include <algorithm>
 #include <cmath>
 #include <utility>
 
@@ -64,10 +63,8 @@ bool DiagnosisScheduler::OnTrigger(const AnomalyTrigger& trigger) {
     PINSQL_OBS_COUNT("online.triggers_suppressed", 1);
     return false;
   }
-  Pending pending;
-  pending.trigger = trigger;
-  pending.due_sec = trigger.trigger_sec + options_.diagnose_delay_sec;
-  pending_.push_back(pending);
+  pending_.push_back(
+      {trigger, trigger.trigger_sec + options_.diagnose_delay_sec});
   ++stats_.triggers_accepted;
   PINSQL_OBS_COUNT("online.triggers_accepted", 1);
   return true;
@@ -81,7 +78,7 @@ void DiagnosisScheduler::NoteAnomalousActivity(int64_t sec,
 std::vector<DiagnosisOutcome> DiagnosisScheduler::Poll(int64_t now_sec) {
   std::vector<DiagnosisOutcome> completed;
   while (!pending_.empty() && pending_.front().due_sec <= now_sec) {
-    Pending pending = pending_.front();
+    SchedulerPendingState pending = pending_.front();
     pending_.pop_front();
     completed.push_back(RunDiagnosis(pending));
   }
@@ -91,7 +88,7 @@ std::vector<DiagnosisOutcome> DiagnosisScheduler::Poll(int64_t now_sec) {
 std::vector<DiagnosisOutcome> DiagnosisScheduler::Drain() {
   std::vector<DiagnosisOutcome> completed;
   while (!pending_.empty()) {
-    Pending pending = pending_.front();
+    SchedulerPendingState pending = pending_.front();
     pending_.pop_front();
     completed.push_back(RunDiagnosis(pending));
   }
@@ -100,7 +97,7 @@ std::vector<DiagnosisOutcome> DiagnosisScheduler::Drain() {
 
 std::optional<int64_t> DiagnosisScheduler::open_window_floor_ms() const {
   std::optional<int64_t> floor;
-  for (const Pending& pending : pending_) {
+  for (const SchedulerPendingState& pending : pending_) {
     const int64_t t0_ms =
         (pending.trigger.onset_sec - options_.diagnoser.delta_s_sec) * 1000;
     if (!floor.has_value() || t0_ms < *floor) floor = t0_ms;
@@ -170,10 +167,10 @@ DiagnosisOutcome RunWindowedDiagnosis(const WindowedDiagnosisContext& ctx,
   outcome.confirmed_rsqls = result->TopRsql(options.top_k);
   std::vector<repair::Suggestion> suggestions = ctx.rules->Suggest(
       phenomena, outcome.confirmed_rsqls, result->metrics, a_s, a_e,
-      std::max<size_t>(options.max_repairs, 1));
+      kMaxRepairsPerDiagnosis);
 
   size_t events_before = 0;
-  if (ctx.supervisor != nullptr && options.auto_repair) {
+  if (ctx.supervisor != nullptr) {
     events_before = ctx.supervisor->events().size();
     const double now_ms = static_cast<double>(a_e) * 1000.0;
     // Baseline for post-action verification: the latest observed
@@ -186,7 +183,7 @@ DiagnosisOutcome RunWindowedDiagnosis(const WindowedDiagnosisContext& ctx,
     }
     size_t applied = 0;
     for (const repair::Suggestion& suggestion : suggestions) {
-      if (applied >= options.max_repairs) break;
+      if (applied >= kMaxRepairsPerDiagnosis) break;
       auto apply = ctx.supervisor->Apply(suggestion.action, now_ms, observed);
       if (apply.ok() &&
           apply->code == repair::ApplyOutcome::Code::kApplied) {
@@ -208,7 +205,7 @@ DiagnosisOutcome RunWindowedDiagnosis(const WindowedDiagnosisContext& ctx,
   outcome.report =
       core::BuildReport(result.value(), *ctx.archive, phenomena, a_s, a_e,
                         suggestions, options.top_k);
-  if (ctx.supervisor != nullptr && options.auto_repair) {
+  if (ctx.supervisor != nullptr) {
     const auto& events = ctx.supervisor->events();
     outcome.report.repair_events.assign(events.begin() + events_before,
                                         events.end());
@@ -221,13 +218,7 @@ DiagnosisOutcome RunWindowedDiagnosis(const WindowedDiagnosisContext& ctx,
 
 SchedulerState DiagnosisScheduler::ExportState() const {
   SchedulerState state;
-  state.pending.reserve(pending_.size());
-  for (const Pending& pending : pending_) {
-    SchedulerPendingState p;
-    p.trigger = pending.trigger;
-    p.due_sec = pending.due_sec;
-    state.pending.push_back(p);
-  }
+  state.pending.assign(pending_.begin(), pending_.end());
   state.dedup_activity = deduper_.ExportActivity();
   state.stats = stats_;
   state.outcomes = outcomes_;
@@ -235,19 +226,14 @@ SchedulerState DiagnosisScheduler::ExportState() const {
 }
 
 void DiagnosisScheduler::ImportState(const SchedulerState& state) {
-  pending_.clear();
-  for (const SchedulerPendingState& p : state.pending) {
-    Pending pending;
-    pending.trigger = p.trigger;
-    pending.due_sec = p.due_sec;
-    pending_.push_back(pending);
-  }
+  pending_.assign(state.pending.begin(), state.pending.end());
   deduper_.ImportActivity(state.dedup_activity);
   stats_ = state.stats;
   outcomes_ = state.outcomes;
 }
 
-DiagnosisOutcome DiagnosisScheduler::RunDiagnosis(const Pending& pending) {
+DiagnosisOutcome DiagnosisScheduler::RunDiagnosis(
+    const SchedulerPendingState& pending) {
   WindowedDiagnosisContext ctx;
   ctx.ingestor = ingestor_;
   ctx.archive = archive_;

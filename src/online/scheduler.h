@@ -38,11 +38,11 @@ struct SchedulerOptions {
   /// and PipelineTrace durations) before the report is built, so replayed
   /// runs produce byte-identical reports. Counters are untouched.
   bool zero_timings = false;
-  /// Hand rule-engine suggestions for confirmed R-SQLs to the supervisor.
-  bool auto_repair = true;
-  /// Cap on supervised actions per diagnosis.
-  size_t max_repairs = 1;
 };
+
+/// Cap on supervised actions per diagnosis (and on the rule engine's
+/// suggestions per report).
+inline constexpr size_t kMaxRepairsPerDiagnosis = 1;
 
 /// Everything one trigger produced: the report, the confirmed R-SQLs and
 /// the closed-loop outcome.
@@ -67,15 +67,16 @@ struct SchedulerStats {
   size_t repairs_rejected = 0;
 };
 
-/// Serializable mirror of a DiagnosisScheduler's mutable state, for the
-/// durable service's checkpoints (see online/service_state.h). Pending
-/// diagnoses survive a restart with their planned windows intact — the
-/// open-diagnosis-window retention floor is therefore restored too.
+/// One accepted trigger waiting for its diagnosis at `due_sec`.
 struct SchedulerPendingState {
   AnomalyTrigger trigger;
   int64_t due_sec = 0;
 };
 
+/// Serializable mirror of a DiagnosisScheduler's mutable state, for the
+/// durable service's checkpoints (see online/service_state.h). Pending
+/// diagnoses survive a restart with their planned windows intact — the
+/// open-diagnosis-window retention floor is therefore restored too.
 struct SchedulerState {
   std::vector<SchedulerPendingState> pending;
   /// TriggerDeduper: instance id -> last anomalous activity second.
@@ -204,12 +205,7 @@ class DiagnosisScheduler {
   void ImportState(const SchedulerState& state);
 
  private:
-  struct Pending {
-    AnomalyTrigger trigger;
-    int64_t due_sec = 0;
-  };
-
-  DiagnosisOutcome RunDiagnosis(const Pending& pending);
+  DiagnosisOutcome RunDiagnosis(const SchedulerPendingState& pending);
 
   StreamIngestor* ingestor_;
   const LogStore* archive_;
@@ -219,7 +215,7 @@ class DiagnosisScheduler {
   core::MapHistoryProvider empty_history_;
   repair::RepairRuleEngine rules_ = repair::RepairRuleEngine::Default();
 
-  std::deque<Pending> pending_;
+  std::deque<SchedulerPendingState> pending_;
   std::vector<DiagnosisOutcome> outcomes_;
   TriggerDeduper deduper_;
   SchedulerStats stats_;

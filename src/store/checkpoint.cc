@@ -25,368 +25,174 @@ constexpr uint32_t kCheckpointVersion = 2;
 constexpr size_t kCheckpointOverhead = 16;
 
 // ---------------------------------------------------------------------------
-// Encode
+// Field lists of the checkpoint body (see codec.h). The second argument of
+// each Seq is the element's minimum encoded size, the bound a decoded count
+// is checked against before anything is allocated.
 
-void EncodeIngestor(codec::Writer* w, const online::IngestorState& state) {
-  w->U64(state.shards.size());
-  for (const online::IngestorShardState& shard : state.shards) {
-    w->U64(shard.queue.size());
-    for (const QueryLogRecord& record : shard.queue) {
-      codec::EncodeRecord(w, record);
-    }
-    w->U64(shard.enqueued);
-    w->U64(shard.dropped_backpressure);
-    w->U64(shard.folded);
-    w->U64(shard.dropped_late);
-    w->U64(shard.buckets.size());
-    for (const online::IngestorBucketState& bucket : shard.buckets) {
-      w->I64(bucket.sec);
-      w->U64(bucket.cells.size());
-      for (const online::IngestorCellState& cell : bucket.cells) {
-        w->U64(cell.sql_id);
-        w->F64(cell.count);
-        w->F64(cell.total_response_ms);
-        w->F64(cell.examined_rows);
-      }
-    }
-  }
-  w->U64(state.metric_buckets.size());
-  for (const online::IngestorMetricBucketState& bucket : state.metric_buckets) {
-    w->I64(bucket.sec);
-    codec::EncodeSample(w, bucket.sample);
-  }
-  w->U64(state.metric_samples);
-  w->U64(state.metric_samples_dropped);
-  w->I64(state.watermark);
+template <typename Io, typename State>
+bool IngestorFields(Io& io, State& state) {
+  return io.Seq(state.shards, 48,
+                [&](auto& shard) {
+                  return io.Seq(shard.queue, 32,
+                                [&](auto& record) {
+                                  return codec::RecordFields(io, record);
+                                }) &&
+                         io.U64(shard.enqueued) &&
+                         io.U64(shard.dropped_backpressure) &&
+                         io.U64(shard.folded) && io.U64(shard.dropped_late) &&
+                         io.Seq(shard.buckets, 16, [&](auto& bucket) {
+                           return io.I64(bucket.sec) &&
+                                  io.Seq(bucket.cells, 32, [&](auto& cell) {
+                                    return io.U64(cell.sql_id) &&
+                                           io.F64(cell.count) &&
+                                           io.F64(cell.total_response_ms) &&
+                                           io.F64(cell.examined_rows);
+                                  });
+                         });
+                }) &&
+         io.Seq(state.metric_buckets, 56,
+                [&](auto& bucket) {
+                  return io.I64(bucket.sec) &&
+                         codec::SampleFields(io, bucket.sample);
+                }) &&
+         io.U64(state.metric_samples) && io.U64(state.metric_samples_dropped) &&
+         io.I64(state.watermark);
 }
 
-void EncodeScreenSnapshot(codec::Writer* w,
-                          const anomaly::StreamingDetectorSnapshot& screen) {
-  w->U64(screen.clean.size());
-  for (double v : screen.clean) w->F64(v);
-  w->F64(screen.baseline_median);
-  w->F64(screen.baseline_mad);
-  w->Bool(screen.baseline_fresh);
-  w->Bool(screen.in_run);
-  w->Bool(screen.run_up);
-  w->U64(screen.run_start);
-  w->F64(screen.run_peak);
-  w->F64(screen.last_z);
-  w->U64(screen.count);
-  w->I64(screen.start_time);
-  w->I64(screen.interval_sec);
+template <typename Io, typename Screen>
+bool ScreenFields(Io& io, Screen& screen) {
+  return io.Seq(screen.clean, 8, [&](auto& v) { return io.F64(v); }) &&
+         io.F64(screen.baseline_median) && io.F64(screen.baseline_mad) &&
+         io.Bool(screen.baseline_fresh) && io.Bool(screen.in_run) &&
+         io.Bool(screen.run_up) && io.U64(screen.run_start) &&
+         io.F64(screen.run_peak) && io.F64(screen.last_z) &&
+         io.U64(screen.count) && io.I64(screen.start_time) &&
+         io.I64(screen.interval_sec);
 }
 
-void EncodeForecast(codec::Writer* w, const detect::ForecastSnapshot& fc) {
-  w->U32(static_cast<uint32_t>(fc.method));
-  w->U64(fc.count);
-  w->F64(fc.mad);
-  w->F64(fc.cusum);
-  w->U64(fc.cusum_start);
-  w->U64(fc.cusum_anchor);
-  w->Bool(fc.cusum_anchor_set);
-  w->F64(fc.block_sum);
-  w->U64(fc.block_n);
-  w->Bool(fc.in_run);
-  w->Bool(fc.run_up);
-  w->Bool(fc.drift_run);
-  w->U64(fc.run_start);
-  w->F64(fc.run_peak);
-  w->F64(fc.last_z);
-  w->I64(fc.start_time);
-  w->I64(fc.interval_sec);
-  w->U64(fc.model.size());
-  for (double v : fc.model) w->F64(v);
+template <typename Io, typename Forecast>
+bool ForecastFields(Io& io, Forecast& fc) {
+  return io.Enum(fc.method, detect::ForecastMethod::kEwmaSketch,
+                 codec::Width::kU32) &&
+         io.U64(fc.count) && io.F64(fc.mad) && io.F64(fc.cusum) &&
+         io.U64(fc.cusum_start) && io.U64(fc.cusum_anchor) &&
+         io.Bool(fc.cusum_anchor_set) && io.F64(fc.block_sum) &&
+         io.U64(fc.block_n) && io.Bool(fc.in_run) && io.Bool(fc.run_up) &&
+         io.Bool(fc.drift_run) && io.U64(fc.run_start) &&
+         io.F64(fc.run_peak) && io.F64(fc.last_z) && io.I64(fc.start_time) &&
+         io.I64(fc.interval_sec) &&
+         io.Seq(fc.model, 8, [&](auto& v) { return io.F64(v); });
 }
 
-void EncodeDetector(codec::Writer* w, const online::OnlineDetectorState& state) {
-  const detect::EnsembleSnapshot& ensemble = state.ensemble;
-  w->Bool(ensemble.initialized);
-  w->Bool(ensemble.screen_present);
-  EncodeScreenSnapshot(w, ensemble.screen);
-  w->U64(ensemble.trailing.size());
-  for (double v : ensemble.trailing) w->F64(v);
-  w->Bool(ensemble.fired_this_incident);
-  w->U64(ensemble.pettitt_rejections);
-  w->U64(ensemble.forecasters.size());
-  for (const detect::ForecastSnapshot& fc : ensemble.forecasters) {
-    EncodeForecast(w, fc);
-  }
-  w->F64(state.last_finite);
-  w->Bool(state.seen_finite);
-  w->U64(state.consecutive_gaps);
-  w->U64(state.latencies.size());
-  for (int64_t v : state.latencies) w->I64(v);
-  w->U64(state.stats.samples);
-  w->U64(state.stats.gaps_carried);
-  w->U64(state.stats.gaps_skipped);
-  w->U64(state.stats.triggers);
-  w->U64(state.stats.pettitt_rejections);
-  w->U64(state.stats.baseline_resets);
+template <typename Io, typename State>
+bool DetectorFields(Io& io, State& state) {
+  auto& ensemble = state.ensemble;
+  auto& stats = state.stats;
+  return io.Bool(ensemble.initialized) && io.Bool(ensemble.screen_present) &&
+         ScreenFields(io, ensemble.screen) &&
+         io.Seq(ensemble.trailing, 8, [&](auto& v) { return io.F64(v); }) &&
+         io.Bool(ensemble.fired_this_incident) &&
+         io.U64(ensemble.pettitt_rejections) &&
+         io.Seq(ensemble.forecasters, 80,
+                [&](auto& fc) { return ForecastFields(io, fc); }) &&
+         io.F64(state.last_finite) && io.Bool(state.seen_finite) &&
+         io.U64(state.consecutive_gaps) &&
+         io.Seq(state.latencies, 8, [&](auto& v) { return io.I64(v); }) &&
+         io.U64(stats.samples) && io.U64(stats.gaps_carried) &&
+         io.U64(stats.gaps_skipped) && io.U64(stats.triggers) &&
+         io.U64(stats.pettitt_rejections) && io.U64(stats.baseline_resets);
 }
 
-void EncodeTrigger(codec::Writer* w, const online::AnomalyTrigger& trigger) {
-  w->U32(trigger.instance_id);
-  w->I64(trigger.onset_sec);
-  w->I64(trigger.trigger_sec);
-  w->F64(trigger.severity);
-  w->F64(trigger.pettitt_p);
-  w->Str(trigger.source);
+template <typename Io, typename Trigger>
+bool TriggerFields(Io& io, Trigger& trigger) {
+  return io.U32(trigger.instance_id) && io.I64(trigger.onset_sec) &&
+         io.I64(trigger.trigger_sec) && io.F64(trigger.severity) &&
+         io.F64(trigger.pettitt_p) && io.Str(trigger.source);
 }
 
-void EncodeScheduler(codec::Writer* w, const online::SchedulerState& state) {
-  w->U64(state.pending.size());
-  for (const online::SchedulerPendingState& pending : state.pending) {
-    EncodeTrigger(w, pending.trigger);
-    w->I64(pending.due_sec);
-  }
-  w->U64(state.dedup_activity.size());
-  for (const auto& [instance_id, sec] : state.dedup_activity) {
-    w->U32(instance_id);
-    w->I64(sec);
-  }
-  w->U64(state.stats.triggers_accepted);
-  w->U64(state.stats.triggers_suppressed);
-  w->U64(state.stats.diagnoses_ok);
-  w->U64(state.stats.diagnoses_failed);
-  w->U64(state.stats.repairs_applied);
-  w->U64(state.stats.repairs_rejected);
-  w->U64(state.outcomes.size());
-  for (const online::DiagnosisOutcome& outcome : state.outcomes) {
-    EncodeTrigger(w, outcome.trigger);
-    w->Bool(outcome.ok);
-    w->Str(outcome.error);
-    // The report round-trips byte-exactly through its JSON form (see
-    // report_test), so the checkpoint reuses it instead of a second binary
-    // schema for the deepest struct in the repo.
-    w->Str(outcome.report.ToJson().Dump());
-    w->U64(outcome.confirmed_rsqls.size());
-    for (uint64_t id : outcome.confirmed_rsqls) w->U64(id);
-    w->U64(outcome.repairs_applied);
-    w->F64(outcome.ttr_sec);
-  }
+// The report round-trips byte-exactly through its JSON form (see
+// report_test), so the checkpoint reuses it instead of a second binary
+// schema for the deepest struct in the repo.
+std::string ReportJson(const core::DiagnosisReport& report) {
+  return report.ToJson().Dump();
 }
 
-// ---------------------------------------------------------------------------
-// Decode
-
-/// Guards a decoded element count against the bytes actually left: a count
-/// whose minimum encoding cannot fit the remaining payload is corruption,
-/// rejected before any allocation.
-bool PlausibleCount(const codec::Reader& r, uint64_t count,
-                    size_t min_elem_bytes) {
-  return count <= r.remaining() / min_elem_bytes;
-}
-
-bool DecodeIngestor(codec::Reader* r, online::IngestorState* state) {
-  uint64_t num_shards = 0;
-  if (!r->U64(&num_shards) || !PlausibleCount(*r, num_shards, 48)) {
-    return false;
-  }
-  state->shards.resize(num_shards);
-  for (online::IngestorShardState& shard : state->shards) {
-    uint64_t queue_size = 0;
-    if (!r->U64(&queue_size) || !PlausibleCount(*r, queue_size, 32)) {
-      return false;
-    }
-    shard.queue.resize(queue_size);
-    for (QueryLogRecord& record : shard.queue) {
-      if (!codec::DecodeRecord(r, &record)) return false;
-    }
-    if (!r->U64(&shard.enqueued) || !r->U64(&shard.dropped_backpressure) ||
-        !r->U64(&shard.folded) || !r->U64(&shard.dropped_late)) {
-      return false;
-    }
-    uint64_t num_buckets = 0;
-    if (!r->U64(&num_buckets) || !PlausibleCount(*r, num_buckets, 16)) {
-      return false;
-    }
-    shard.buckets.resize(num_buckets);
-    for (online::IngestorBucketState& bucket : shard.buckets) {
-      uint64_t num_cells = 0;
-      if (!r->I64(&bucket.sec) || !r->U64(&num_cells) ||
-          !PlausibleCount(*r, num_cells, 32)) {
-        return false;
-      }
-      bucket.cells.resize(num_cells);
-      for (online::IngestorCellState& cell : bucket.cells) {
-        if (!r->U64(&cell.sql_id) || !r->F64(&cell.count) ||
-            !r->F64(&cell.total_response_ms) || !r->F64(&cell.examined_rows)) {
-          return false;
-        }
-      }
-    }
-  }
-  uint64_t num_metric_buckets = 0;
-  if (!r->U64(&num_metric_buckets) ||
-      !PlausibleCount(*r, num_metric_buckets, 56)) {
-    return false;
-  }
-  state->metric_buckets.resize(num_metric_buckets);
-  for (online::IngestorMetricBucketState& bucket : state->metric_buckets) {
-    if (!r->I64(&bucket.sec) || !codec::DecodeSample(r, &bucket.sample)) {
-      return false;
-    }
-  }
-  return r->U64(&state->metric_samples) &&
-         r->U64(&state->metric_samples_dropped) && r->I64(&state->watermark);
-}
-
-bool DecodeU64Counter(codec::Reader* r, size_t* out) {
-  uint64_t v = 0;
-  if (!r->U64(&v)) return false;
-  *out = static_cast<size_t>(v);
+bool ParseReportJson(std::string_view text, core::DiagnosisReport* report) {
+  auto json = Json::Parse(text);
+  if (!json.ok()) return false;
+  auto parsed = core::DiagnosisReport::FromJson(*json);
+  if (!parsed.ok()) return false;
+  *report = std::move(parsed).value();
   return true;
 }
 
-bool DecodeScreenSnapshot(codec::Reader* r,
-                          anomaly::StreamingDetectorSnapshot* screen) {
-  uint64_t clean_size = 0;
-  if (!r->U64(&clean_size) || !PlausibleCount(*r, clean_size, 8)) return false;
-  screen->clean.resize(clean_size);
-  for (double& v : screen->clean) {
-    if (!r->F64(&v)) return false;
-  }
-  return r->F64(&screen->baseline_median) && r->F64(&screen->baseline_mad) &&
-         r->Bool(&screen->baseline_fresh) && r->Bool(&screen->in_run) &&
-         r->Bool(&screen->run_up) && r->U64(&screen->run_start) &&
-         r->F64(&screen->run_peak) && r->F64(&screen->last_z) &&
-         r->U64(&screen->count) && r->I64(&screen->start_time) &&
-         r->I64(&screen->interval_sec);
+template <typename Io, typename State>
+bool SchedulerFields(Io& io, State& state) {
+  auto& stats = state.stats;
+  return io.Seq(state.pending, 44,
+                [&](auto& pending) {
+                  return TriggerFields(io, pending.trigger) &&
+                         io.I64(pending.due_sec);
+                }) &&
+         io.Seq(state.dedup_activity, 12,
+                [&](auto& activity) {
+                  return io.U32(activity.first) && io.I64(activity.second);
+                }) &&
+         io.U64(stats.triggers_accepted) && io.U64(stats.triggers_suppressed) &&
+         io.U64(stats.diagnoses_ok) && io.U64(stats.diagnoses_failed) &&
+         io.U64(stats.repairs_applied) && io.U64(stats.repairs_rejected) &&
+         io.Seq(state.outcomes, 64, [&](auto& outcome) {
+           return TriggerFields(io, outcome.trigger) && io.Bool(outcome.ok) &&
+                  io.Str(outcome.error) &&
+                  io.Text(outcome.report, ReportJson, ParseReportJson) &&
+                  io.Seq(outcome.confirmed_rsqls, 8,
+                         [&](auto& id) { return io.U64(id); }) &&
+                  io.U64(outcome.repairs_applied) && io.F64(outcome.ttr_sec);
+         });
 }
 
-bool DecodeForecast(codec::Reader* r, detect::ForecastSnapshot* fc) {
-  uint32_t method = 0;
-  if (!r->U32(&method) || method > 3) return false;
-  fc->method = static_cast<detect::ForecastMethod>(method);
-  if (!r->U64(&fc->count) || !r->F64(&fc->mad) || !r->F64(&fc->cusum) ||
-      !r->U64(&fc->cusum_start) || !r->U64(&fc->cusum_anchor) ||
-      !r->Bool(&fc->cusum_anchor_set) || !r->F64(&fc->block_sum) ||
-      !r->U64(&fc->block_n) || !r->Bool(&fc->in_run) ||
-      !r->Bool(&fc->run_up) || !r->Bool(&fc->drift_run) ||
-      !r->U64(&fc->run_start) || !r->F64(&fc->run_peak) ||
-      !r->F64(&fc->last_z) || !r->I64(&fc->start_time) ||
-      !r->I64(&fc->interval_sec)) {
-    return false;
-  }
-  uint64_t model_size = 0;
-  if (!r->U64(&model_size) || !PlausibleCount(*r, model_size, 8)) {
-    return false;
-  }
-  fc->model.resize(model_size);
-  for (double& v : fc->model) {
-    if (!r->F64(&v)) return false;
-  }
-  return true;
-}
-
-bool DecodeDetector(codec::Reader* r, online::OnlineDetectorState* state) {
-  detect::EnsembleSnapshot& ensemble = state->ensemble;
-  if (!r->Bool(&ensemble.initialized) || !r->Bool(&ensemble.screen_present) ||
-      !DecodeScreenSnapshot(r, &ensemble.screen)) {
-    return false;
-  }
-  uint64_t trailing_size = 0;
-  if (!r->U64(&trailing_size) || !PlausibleCount(*r, trailing_size, 8)) {
-    return false;
-  }
-  ensemble.trailing.resize(trailing_size);
-  for (double& v : ensemble.trailing) {
-    if (!r->F64(&v)) return false;
-  }
-  if (!r->Bool(&ensemble.fired_this_incident) ||
-      !r->U64(&ensemble.pettitt_rejections)) {
-    return false;
-  }
-  uint64_t num_forecasters = 0;
-  if (!r->U64(&num_forecasters) || !PlausibleCount(*r, num_forecasters, 80)) {
-    return false;
-  }
-  ensemble.forecasters.resize(num_forecasters);
-  for (detect::ForecastSnapshot& fc : ensemble.forecasters) {
-    if (!DecodeForecast(r, &fc)) return false;
-  }
-  if (!r->F64(&state->last_finite) || !r->Bool(&state->seen_finite) ||
-      !r->U64(&state->consecutive_gaps)) {
-    return false;
-  }
-  uint64_t latencies_size = 0;
-  if (!r->U64(&latencies_size) || !PlausibleCount(*r, latencies_size, 8)) {
-    return false;
-  }
-  state->latencies.resize(latencies_size);
-  for (int64_t& v : state->latencies) {
-    if (!r->I64(&v)) return false;
-  }
-  return DecodeU64Counter(r, &state->stats.samples) &&
-         DecodeU64Counter(r, &state->stats.gaps_carried) &&
-         DecodeU64Counter(r, &state->stats.gaps_skipped) &&
-         DecodeU64Counter(r, &state->stats.triggers) &&
-         DecodeU64Counter(r, &state->stats.pettitt_rejections) &&
-         DecodeU64Counter(r, &state->stats.baseline_resets);
-}
-
-bool DecodeTrigger(codec::Reader* r, online::AnomalyTrigger* trigger) {
-  return r->U32(&trigger->instance_id) && r->I64(&trigger->onset_sec) &&
-         r->I64(&trigger->trigger_sec) && r->F64(&trigger->severity) &&
-         r->F64(&trigger->pettitt_p) && r->Str(&trigger->source);
-}
-
-bool DecodeScheduler(codec::Reader* r, online::SchedulerState* state) {
-  uint64_t num_pending = 0;
-  if (!r->U64(&num_pending) || !PlausibleCount(*r, num_pending, 44)) {
-    return false;
-  }
-  state->pending.resize(num_pending);
-  for (online::SchedulerPendingState& pending : state->pending) {
-    if (!DecodeTrigger(r, &pending.trigger) || !r->I64(&pending.due_sec)) {
-      return false;
-    }
-  }
-  uint64_t num_dedup = 0;
-  if (!r->U64(&num_dedup) || !PlausibleCount(*r, num_dedup, 12)) return false;
-  state->dedup_activity.resize(num_dedup);
-  for (auto& [instance_id, sec] : state->dedup_activity) {
-    if (!r->U32(&instance_id) || !r->I64(&sec)) return false;
-  }
-  if (!DecodeU64Counter(r, &state->stats.triggers_accepted) ||
-      !DecodeU64Counter(r, &state->stats.triggers_suppressed) ||
-      !DecodeU64Counter(r, &state->stats.diagnoses_ok) ||
-      !DecodeU64Counter(r, &state->stats.diagnoses_failed) ||
-      !DecodeU64Counter(r, &state->stats.repairs_applied) ||
-      !DecodeU64Counter(r, &state->stats.repairs_rejected)) {
-    return false;
-  }
-  uint64_t num_outcomes = 0;
-  if (!r->U64(&num_outcomes) || !PlausibleCount(*r, num_outcomes, 64)) {
-    return false;
-  }
-  state->outcomes.resize(num_outcomes);
-  for (online::DiagnosisOutcome& outcome : state->outcomes) {
-    std::string report_json;
-    if (!DecodeTrigger(r, &outcome.trigger) || !r->Bool(&outcome.ok) ||
-        !r->Str(&outcome.error) || !r->Str(&report_json)) {
-      return false;
-    }
-    auto json = Json::Parse(report_json);
-    if (!json.ok()) return false;
-    auto report = core::DiagnosisReport::FromJson(*json);
-    if (!report.ok()) return false;
-    outcome.report = std::move(report).value();
-    uint64_t num_confirmed = 0;
-    if (!r->U64(&num_confirmed) || !PlausibleCount(*r, num_confirmed, 8)) {
-      return false;
-    }
-    outcome.confirmed_rsqls.resize(num_confirmed);
-    for (uint64_t& id : outcome.confirmed_rsqls) {
-      if (!r->U64(&id)) return false;
-    }
-    if (!DecodeU64Counter(r, &outcome.repairs_applied) ||
-        !r->F64(&outcome.ttr_sec)) {
-      return false;
-    }
-  }
-  return true;
+/// The whole body. Labels name the failing section; DecodeCheckpointBody
+/// prefixes them with "checkpoint: ".
+template <typename Io, typename Data>
+bool CheckpointFields(Io& io, Data& data) {
+  auto& service = data.service;
+  return io.Label(io.U64(data.lsn.segment_seq) && io.U64(data.lsn.offset),
+                  "truncated LSN") &&
+         io.Label(IngestorFields(io, service.ingestor),
+                  "malformed ingestor state") &&
+         io.Label(DetectorFields(io, service.detector),
+                  "malformed detector state") &&
+         io.Label(SchedulerFields(io, service.scheduler),
+                  "malformed scheduler state") &&
+         io.Label(io.Bool(service.processed_any) &&
+                      io.I64(service.last_processed_sec) &&
+                      io.I64(service.retention_sweeps) &&
+                      io.U64(service.records_retired) &&
+                      io.I64(service.seconds_processed),
+                  "truncated service counters") &&
+         io.Label(io.Seq(service.archive_records, 32,
+                         [&](auto& record) {
+                           return io.Label(codec::RecordFields(io, record),
+                                           "truncated archive record");
+                         }),
+                  "implausible archive size") &&
+         io.Label(io.Seq(service.catalog, 25,
+                         [&](auto& entry) {
+                           return io.Label(
+                               io.U64(entry.first) &&
+                                   codec::TemplateFields(
+                                       io, entry.second, codec::Width::kU64,
+                                       {}, "malformed catalog table"),
+                               "malformed catalog entry");
+                         }),
+                  "implausible catalog size") &&
+         io.Label(io.Seq(data.audit, 52,
+                         [&](auto& event) {
+                           return io.Relabel(
+                               codec::RepairEventFields(io, event),
+                               "malformed audit event");
+                         }),
+                  "implausible audit size");
 }
 
 /// Parses the counter out of a checkpoint file name, or nullopt when the
@@ -420,103 +226,15 @@ std::string CheckpointFileName(uint64_t counter) {
 std::string EncodeCheckpointBody(const CheckpointData& data) {
   std::string out;
   codec::Writer w(&out);
-  w.U64(data.lsn.segment_seq);
-  w.U64(data.lsn.offset);
-
-  const online::ServiceState& service = data.service;
-  EncodeIngestor(&w, service.ingestor);
-  EncodeDetector(&w, service.detector);
-  EncodeScheduler(&w, service.scheduler);
-  w.Bool(service.processed_any);
-  w.I64(service.last_processed_sec);
-  w.I64(service.retention_sweeps);
-  w.U64(service.records_retired);
-  w.I64(service.seconds_processed);
-  w.U64(service.archive_records.size());
-  for (const QueryLogRecord& record : service.archive_records) {
-    codec::EncodeRecord(&w, record);
-  }
-  w.U64(service.catalog.size());
-  for (const auto& [sql_id, entry] : service.catalog) {
-    w.U64(sql_id);
-    w.Str(entry.template_text);
-    w.U8(static_cast<uint8_t>(entry.kind));
-    w.U64(entry.tables.size());
-    for (const std::string& table : entry.tables) w.Str(table);
-  }
-
-  w.U64(data.audit.size());
-  for (const repair::RepairEvent& event : data.audit) {
-    codec::EncodeRepairEvent(&w, event);
-  }
+  CheckpointFields(w, data);
   return out;
 }
 
 StatusOr<CheckpointData> DecodeCheckpointBody(std::string_view body) {
   CheckpointData data;
   codec::Reader r(body);
-  if (!r.U64(&data.lsn.segment_seq) || !r.U64(&data.lsn.offset)) {
-    return Status::ParseError("checkpoint: truncated LSN");
-  }
-  online::ServiceState& service = data.service;
-  if (!DecodeIngestor(&r, &service.ingestor)) {
-    return Status::ParseError("checkpoint: malformed ingestor state");
-  }
-  if (!DecodeDetector(&r, &service.detector)) {
-    return Status::ParseError("checkpoint: malformed detector state");
-  }
-  if (!DecodeScheduler(&r, &service.scheduler)) {
-    return Status::ParseError("checkpoint: malformed scheduler state");
-  }
-  int64_t retention_sweeps = 0;
-  if (!r.Bool(&service.processed_any) ||
-      !r.I64(&service.last_processed_sec) || !r.I64(&retention_sweeps) ||
-      !r.U64(&service.records_retired) || !r.I64(&service.seconds_processed)) {
-    return Status::ParseError("checkpoint: truncated service counters");
-  }
-  service.retention_sweeps = retention_sweeps;
-  uint64_t num_records = 0;
-  if (!r.U64(&num_records) || !PlausibleCount(r, num_records, 32)) {
-    return Status::ParseError("checkpoint: implausible archive size");
-  }
-  service.archive_records.resize(num_records);
-  for (QueryLogRecord& record : service.archive_records) {
-    if (!codec::DecodeRecord(&r, &record)) {
-      return Status::ParseError("checkpoint: truncated archive record");
-    }
-  }
-  uint64_t num_templates = 0;
-  if (!r.U64(&num_templates) || !PlausibleCount(r, num_templates, 25)) {
-    return Status::ParseError("checkpoint: implausible catalog size");
-  }
-  service.catalog.resize(num_templates);
-  for (auto& [sql_id, entry] : service.catalog) {
-    uint8_t kind = 0;
-    uint64_t num_tables = 0;
-    if (!r.U64(&sql_id) || !r.Str(&entry.template_text) || !r.U8(&kind) ||
-        !r.U64(&num_tables) || !PlausibleCount(r, num_tables, 8)) {
-      return Status::ParseError("checkpoint: malformed catalog entry");
-    }
-    if (kind > static_cast<uint8_t>(sqltpl::StatementKind::kOther)) {
-      return Status::ParseError("checkpoint: unknown statement kind");
-    }
-    entry.kind = static_cast<sqltpl::StatementKind>(kind);
-    entry.tables.resize(num_tables);
-    for (std::string& table : entry.tables) {
-      if (!r.Str(&table)) {
-        return Status::ParseError("checkpoint: malformed catalog table");
-      }
-    }
-  }
-  uint64_t num_events = 0;
-  if (!r.U64(&num_events) || !PlausibleCount(r, num_events, 52)) {
-    return Status::ParseError("checkpoint: implausible audit size");
-  }
-  data.audit.resize(num_events);
-  for (repair::RepairEvent& event : data.audit) {
-    if (!codec::DecodeRepairEvent(&r, &event).ok()) {
-      return Status::ParseError("checkpoint: malformed audit event");
-    }
+  if (!CheckpointFields(r, data)) {
+    return Status::ParseError("checkpoint: " + r.error());
   }
   if (!r.exhausted()) {
     return Status::ParseError("checkpoint: trailing bytes");
@@ -584,13 +302,13 @@ StatusOr<LoadedCheckpoint> LoadLatestCheckpoint(Env* env,
       codec::Reader header(
           std::string_view(file).substr(sizeof(kCheckpointMagic), 4));
       uint32_t version = 0;
-      header.U32(&version);
+      header.U32(version);
       valid = version == kCheckpointVersion;
     }
     if (valid) {
       codec::Reader footer(std::string_view(file).substr(file.size() - 4));
       uint32_t crc = 0;
-      footer.U32(&crc);
+      footer.U32(crc);
       valid = crc == Crc32c(file.data(), file.size() - 4);
     }
     if (valid) {

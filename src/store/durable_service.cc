@@ -164,10 +164,10 @@ Status DurableOnlineService::CheckpointLocked() {
   }
   ++checkpoints_written_;
   checkpoint_lsns_.push_back(data.lsn);
-  while (checkpoint_lsns_.size() > options_.checkpoints_to_keep) {
+  while (checkpoint_lsns_.size() > kCheckpointsToKeep) {
     checkpoint_lsns_.pop_front();
   }
-  PruneCheckpoints(env_, data_dir_, options_.checkpoints_to_keep);
+  PruneCheckpoints(env_, data_dir_, kCheckpointsToKeep);
 
   // Retire WAL segments that retention no longer needs *and* the oldest
   // retained checkpoint already covers — a fallback recovery must always

@@ -25,10 +25,11 @@ struct DurableServiceOptions {
   /// Take a checkpoint every this many watermark seconds (0 disables
   /// periodic checkpoints; a final one is still written on Stop()).
   int64_t checkpoint_every_sec = 300;
-  /// Checkpoint files retained on disk. Two survives one corrupt newest
-  /// checkpoint: recovery falls back and replays a longer WAL suffix.
-  size_t checkpoints_to_keep = 2;
 };
+
+/// Checkpoint files retained on disk. Two survives one corrupt newest
+/// checkpoint: recovery falls back and replays a longer WAL suffix.
+inline constexpr size_t kCheckpointsToKeep = 2;
 
 /// Accounting of one Open(): what was recovered and from where.
 struct RecoveryStats {

@@ -40,7 +40,7 @@ std::optional<uint64_t> DecodeSegmentHeader(std::string_view data) {
   uint32_t version = 0;
   uint64_t seq = 0;
   uint32_t crc = 0;
-  if (!r.U32(&version) || !r.U64(&seq) || !r.U32(&crc)) return std::nullopt;
+  if (!r.U32(version) || !r.U64(seq) || !r.U32(crc)) return std::nullopt;
   if (version != kSegmentVersion) return std::nullopt;
   if (crc != Crc32c(data.data(), kSegmentHeaderSize - 4)) return std::nullopt;
   return seq;
@@ -102,6 +102,51 @@ SpanStatus FrameEventSpan(const WalFrame& frame, EventSpan* span) {
   return SpanStatus::kNone;
 }
 
+/// Error-message prefix of each frame kind; nullptr for an unknown kind.
+const char* FrameKindName(FrameKind kind) {
+  switch (kind) {
+    case FrameKind::kRecordBatch:
+      return "record batch";
+    case FrameKind::kSample:
+      return "sample";
+    case FrameKind::kTemplate:
+      return "template";
+    case FrameKind::kRepairEvent:
+      return "repair event";
+  }
+  return nullptr;
+}
+
+/// Field list of a frame body (everything after the kind byte). Labels
+/// name the failure; DecodeFramePayload prefixes the kind's name. Record
+/// and table counts are U32 here (U64 in checkpoints).
+template <typename Io, typename Frame>
+bool FrameBodyFields(Io& io, Frame& frame) {
+  switch (frame.kind) {
+    case FrameKind::kRecordBatch:
+      return io.Label(io.Seq(
+                          frame.records, 32,
+                          [&](auto& record) {
+                            return io.Label(codec::RecordFields(io, record),
+                                            "truncated record");
+                          },
+                          codec::Width::kU32, "count exceeds payload"),
+                      "no count");
+    case FrameKind::kSample:
+      return io.Label(codec::SampleFields(io, frame.sample), "truncated");
+    case FrameKind::kTemplate:
+      return io.Label(io.U64(frame.template_id) &&
+                          codec::TemplateFields(io, frame.template_entry,
+                                                codec::Width::kU32,
+                                                "table count exceeds payload",
+                                                "bad table"),
+                      "truncated");
+    case FrameKind::kRepairEvent:
+      return io.Label(codec::RepairEventFields(io, frame.event), "truncated");
+  }
+  return false;
+}
+
 }  // namespace
 
 const char* FsyncPolicyName(FsyncPolicy policy) {
@@ -127,29 +172,7 @@ std::string EncodeFramePayload(const WalFrame& frame) {
   std::string out;
   codec::Writer w(&out);
   w.U8(static_cast<uint8_t>(frame.kind));
-  switch (frame.kind) {
-    case FrameKind::kRecordBatch:
-      w.U32(static_cast<uint32_t>(frame.records.size()));
-      for (const QueryLogRecord& record : frame.records) {
-        codec::EncodeRecord(&w, record);
-      }
-      break;
-    case FrameKind::kSample:
-      codec::EncodeSample(&w, frame.sample);
-      break;
-    case FrameKind::kTemplate:
-      w.U64(frame.template_id);
-      w.Str(frame.template_entry.template_text);
-      w.U8(static_cast<uint8_t>(frame.template_entry.kind));
-      w.U32(static_cast<uint32_t>(frame.template_entry.tables.size()));
-      for (const std::string& table : frame.template_entry.tables) {
-        w.Str(table);
-      }
-      break;
-    case FrameKind::kRepairEvent:
-      codec::EncodeRepairEvent(&w, frame.event);
-      break;
-  }
+  FrameBodyFields(w, frame);
   return out;
 }
 
@@ -165,63 +188,15 @@ std::string WrapFrame(std::string payload) {
 StatusOr<WalFrame> DecodeFramePayload(std::string_view payload) {
   codec::Reader r(payload);
   uint8_t kind = 0;
-  if (!r.U8(&kind)) return Status::ParseError("empty frame payload");
+  if (!r.U8(kind)) return Status::ParseError("empty frame payload");
   WalFrame frame;
-  switch (static_cast<FrameKind>(kind)) {
-    case FrameKind::kRecordBatch: {
-      frame.kind = FrameKind::kRecordBatch;
-      uint32_t n = 0;
-      if (!r.U32(&n)) return Status::ParseError("record batch: no count");
-      // 32 bytes per record: reject counts the payload cannot hold before
-      // reserving anything.
-      if (static_cast<uint64_t>(n) * 32 > r.remaining()) {
-        return Status::ParseError("record batch: count exceeds payload");
-      }
-      frame.records.resize(n);
-      for (QueryLogRecord& record : frame.records) {
-        if (!codec::DecodeRecord(&r, &record)) {
-          return Status::ParseError("record batch: truncated record");
-        }
-      }
-      break;
-    }
-    case FrameKind::kSample:
-      frame.kind = FrameKind::kSample;
-      if (!codec::DecodeSample(&r, &frame.sample)) {
-        return Status::ParseError("sample: truncated");
-      }
-      break;
-    case FrameKind::kTemplate: {
-      frame.kind = FrameKind::kTemplate;
-      uint8_t stmt_kind = 0;
-      uint32_t num_tables = 0;
-      if (!r.U64(&frame.template_id) ||
-          !r.Str(&frame.template_entry.template_text) || !r.U8(&stmt_kind) ||
-          !r.U32(&num_tables)) {
-        return Status::ParseError("template: truncated");
-      }
-      if (stmt_kind > static_cast<uint8_t>(sqltpl::StatementKind::kOther)) {
-        return Status::ParseError("template: unknown statement kind");
-      }
-      frame.template_entry.kind = static_cast<sqltpl::StatementKind>(stmt_kind);
-      if (static_cast<uint64_t>(num_tables) * 8 > r.remaining()) {
-        return Status::ParseError("template: table count exceeds payload");
-      }
-      frame.template_entry.tables.resize(num_tables);
-      for (std::string& table : frame.template_entry.tables) {
-        if (!r.Str(&table)) return Status::ParseError("template: bad table");
-      }
-      break;
-    }
-    case FrameKind::kRepairEvent:
-      frame.kind = FrameKind::kRepairEvent;
-      if (Status status = codec::DecodeRepairEvent(&r, &frame.event);
-          !status.ok()) {
-        return Status::ParseError("repair event: " + status.message());
-      }
-      break;
-    default:
-      return Status::ParseError("unknown frame kind " + std::to_string(kind));
+  frame.kind = static_cast<FrameKind>(kind);
+  const char* name = FrameKindName(frame.kind);
+  if (name == nullptr) {
+    return Status::ParseError("unknown frame kind " + std::to_string(kind));
+  }
+  if (!FrameBodyFields(r, frame)) {
+    return Status::ParseError(std::string(name) + ": " + r.error());
   }
   if (!r.exhausted()) {
     return Status::ParseError("frame payload has trailing bytes");
@@ -534,8 +509,8 @@ Status ScanWal(Env* env, const std::string& dir, const WalOptions& options,
       bool frame_ok = remaining >= kFrameHeaderSize;
       if (frame_ok) {
         codec::Reader r(std::string_view(data).substr(off, kFrameHeaderSize));
-        r.U32(&len);
-        r.U32(&crc);
+        r.U32(len);
+        r.U32(crc);
         frame_ok = len > 0 && len <= options.max_frame_bytes &&
                    kFrameHeaderSize + len <= remaining;
       }
